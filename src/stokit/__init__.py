@@ -3,9 +3,8 @@ diagnostics, and reproducible figure generation."""
 
 __version__ = "0.1.0"
 
-from .agents import (Agent, GenerationStat, GrowthEval, PoolConfig,
-                     evaluate_growth, evolutionary_optimize, growth_from_factors,
-                     utility, wealth_update)
+from .agents import (GenerationStat, GrowthEval, PoolConfig, evaluate_growth,
+                     evolutionary_optimize, growth_from_factors)
 from .diagnostics import (DEFAULT_FAN_LEVELS, GrowthRates, PreasymptoticReport,
                           QuantileFan, SummaryCurves, distance_to_asymptote,
                           estimate_asymptote, growth_rates, preasymptotic_report,
@@ -16,9 +15,7 @@ from .fitting import (FitResult, ModelScore, compare_models, fit_lognormal,
                       fit_normal, tail_index_hill)
 from .processes import (AdaptiveOU, Brownian, Ensemble, GeometricBrownian,
                         GeometricLevy, LevyStable, OrnsteinUhlenbeck, Poisson,
-                        ProcessSpec, TimeGrid, additive_step,
-                        adaptive_theta_update, multiplicative_log_step, ou_step,
-                        simulate)
+                        ProcessSpec, TimeGrid, simulate)
 from .rng import (RngStream, derive_seed, sample_gaussian,
                   sample_poisson_events, sample_stable, substream)
 from .spde import (Dirichlet, FieldSolution, Neumann, SpdeSpec,
@@ -33,8 +30,7 @@ __all__ = [
     # processes
     "ProcessSpec", "Brownian", "GeometricBrownian", "LevyStable",
     "GeometricLevy", "OrnsteinUhlenbeck", "AdaptiveOU", "Poisson",
-    "TimeGrid", "Ensemble", "simulate", "additive_step",
-    "multiplicative_log_step", "ou_step", "adaptive_theta_update",
+    "TimeGrid", "Ensemble", "simulate",
     # diagnostics
     "QuantileFan", "SummaryCurves", "GrowthRates", "PreasymptoticReport",
     "DEFAULT_FAN_LEVELS", "quantile_fan", "summary_curves", "growth_rates",
@@ -47,9 +43,8 @@ __all__ = [
     "SpdeSpec", "Dirichlet", "Neumann", "FieldSolution", "simulate_heat_spde",
     "extract_profiles", "spatial_mean",
     # agents
-    "Agent", "PoolConfig", "GrowthEval", "GenerationStat", "wealth_update",
-    "utility", "evaluate_growth", "growth_from_factors",
-    "evolutionary_optimize",
+    "PoolConfig", "GrowthEval", "GenerationStat", "evaluate_growth",
+    "growth_from_factors", "evolutionary_optimize",
     # plotting
     "Series", "LineBundle", "HeatmapBundle", "render_svg", "render_panels",
     # errors

@@ -31,20 +31,6 @@ _MUTATION_SALT = 0x6D757461
 _INIT_SALT = 0x696E6974
 
 
-@dataclass(frozen=True)
-class Agent:
-    wealth: float
-    fraction: float
-    utility_kind: str = "log"
-    gamma: float | None = None
-
-    def __post_init__(self):
-        if self.wealth <= 0.0:
-            raise DomainError(f"wealth must be > 0, got {self.wealth}")
-        if self.utility_kind not in ("log", "crra", "linear"):
-            raise DomainError(f"unknown utility kind {self.utility_kind!r}")
-
-
 class GrowthEval(NamedTuple):
     """Mean per-unit-time log growth plus the number of steps that hit the
     ruin floor."""
@@ -56,35 +42,6 @@ class GrowthEval(NamedTuple):
 class GenerationStat(NamedTuple):
     best_fraction: float
     best_fitness: float
-
-
-def wealth_update(wealth: float, fraction: float, gross_return: float) -> float:
-    """w * (1 - fraction + fraction * gross_return), floored at WEALTH_FLOOR."""
-    if wealth <= 0.0:
-        raise DomainError(f"wealth must be > 0, got {wealth}")
-    if gross_return <= 0.0:
-        raise DomainError(f"gross return must be > 0, got {gross_return}")
-    return max(wealth * (1.0 - fraction + fraction * gross_return), WEALTH_FLOOR)
-
-
-def utility(wealth: float, kind: str, gamma: float | None = None) -> float:
-    """log -> ln w; crra(gamma) -> (w**(1-gamma) - 1)/(1-gamma); linear -> w.
-
-    gamma = 1 is rejected: log utility is the designated limit case.
-    """
-    if wealth <= 0.0:
-        raise DomainError(f"wealth must be > 0, got {wealth}")
-    if kind == "log":
-        return math.log(wealth)
-    if kind == "linear":
-        return wealth
-    if kind == "crra":
-        if gamma is None or gamma < 0.0:
-            raise DomainError(f"crra requires gamma >= 0, got {gamma}")
-        if gamma == 1.0:
-            raise DomainError("crra with gamma=1 is log utility; use kind='log'")
-        return (wealth ** (1.0 - gamma) - 1.0) / (1.0 - gamma)
-    raise DomainError(f"unknown utility kind {kind!r}")
 
 
 def growth_from_factors(fraction: float, factors: np.ndarray, dt: float
@@ -135,7 +92,6 @@ class PoolConfig:
     f_max: float
     seed: int
     initial_fraction: float | None = None
-    fresh_paths: bool = True  # False re-uses generation-0 paths every round
 
     def __post_init__(self):
         if self.n_agents < 2:
@@ -186,8 +142,7 @@ def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec
     history: list[GenerationStat] = []
     best_fraction = float(fractions[0])
     for generation in range(config.generations):
-        path_gen = generation if config.fresh_paths else 0
-        path_seed = derive_seed(config.seed, _PATH_SALT, path_gen)
+        path_seed = derive_seed(config.seed, _PATH_SALT, generation)
         ensemble = simulate(spec, config.horizon, config.dt,
                             config.paths_per_eval, path_seed)
         factors = ensemble.values[:, 1:] / ensemble.values[:, :-1]

@@ -30,11 +30,14 @@ from .diagnostics import (DEFAULT_FAN_LEVELS, growth_rates,
                           preasymptotic_report, quantile_fan, summary_curves)
 from .errors import (DomainError, GridError, PositivityError, SchemaError,
                      SizeError, StabilityError, StokitError)
-from .figures import build_all, fan_series, level_column
+from .figures import (build_all, fan_series, fan_table, field_table,
+                      heatmap_bundle, preasym_series, preasym_table,
+                      profile_bundle, profile_table, summary_series,
+                      summary_table)
 from .processes import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
                         LevyStable, OrnsteinUhlenbeck, Poisson, simulate)
-from .spde import Dirichlet, Neumann, SpdeSpec, extract_profiles, simulate_heat_spde
-from .svgplot import LineBundle, Series, render_svg
+from .spde import Dirichlet, Neumann, SpdeSpec, simulate_heat_spde
+from .svgplot import LineBundle, render_svg
 
 # (flag, default) per family; None means the flag is required.
 _FAMILY_FLAGS = {
@@ -128,6 +131,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_svg(path: str, bundle, style: str = "lines") -> None:
+    Path(path).write_text(render_svg(bundle, style), encoding="utf-8")
+
+
 # --- command handlers -----------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -159,50 +166,32 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         levels = (_parse_levels(args.fan_levels) if args.fan_levels is not None
                   else DEFAULT_FAN_LEVELS)
         fan = quantile_fan(ensemble, levels)
-        header = ["time"] + [level_column(p) for p in fan.levels]
-        rows = ([times[k], *fan.curves[:, k]] for k in range(times.size))
-        write_csv(f"{prefix}_fan.csv", header, rows)
+        write_csv(f"{prefix}_fan.csv", *fan_table(fan, times))
         if args.svg:
-            bundle = LineBundle("Quantile fan", "time", "value",
-                                tuple(fan_series(fan, times)))
-            Path(f"{prefix}_fan.svg").write_text(render_svg(bundle), encoding="utf-8")
+            _write_svg(f"{prefix}_fan.svg", LineBundle(
+                "Quantile fan", "time", "value", fan_series(fan, times)))
     if args.summary:
         summary = summary_curves(ensemble)
-        header = ["time", "amean", "median", "gmean"]
-        rows = ([times[k], summary.arithmetic_mean[k], summary.median[k],
-                 summary.geometric_mean[k]] for k in range(times.size))
-        write_csv(f"{prefix}_summary.csv", header, rows)
+        write_csv(f"{prefix}_summary.csv", *summary_table(summary, times))
         if args.svg:
-            bundle = LineBundle(
+            _write_svg(f"{prefix}_summary.svg", LineBundle(
                 "Ensemble summaries", "time", "value",
-                (Series("arithmetic mean", times, summary.arithmetic_mean),
-                 Series("median", times, summary.median),
-                 Series("geometric mean", times, summary.geometric_mean)))
-            Path(f"{prefix}_summary.svg").write_text(render_svg(bundle),
-                                                     encoding="utf-8")
+                summary_series(summary, times)))
     if args.growth:
         rates = growth_rates(ensemble)
-        rows = [["time_average", rates.time_average],
-                ["ensemble_average", rates.ensemble_average]]
-        write_csv(f"{prefix}_growth.csv", ["metric", "value"], rows)
+        write_csv(f"{prefix}_growth.csv", ["metric", "value"],
+                  [["time_average", "ensemble_average"],
+                   [rates.time_average, rates.ensemble_average]])
     if args.preasym:
         series = ensemble.values[0]  # diagnostics run on inst_0
         report = preasymptotic_report(series, ensemble.grid,
                                       tail_fraction=args.tail_fraction,
                                       window=args.preasym_window)
-        window = report.window
-        header = ["time", "distance", "fluctuation"]
-        rows = ([times[k], report.distance_curve[k],
-                 report.fluctuation_curve[k - window] if k >= window else float("nan")]
-                for k in range(times.size))
-        write_csv(f"{prefix}_preasym.csv", header, rows)
+        write_csv(f"{prefix}_preasym.csv", *preasym_table(report, times))
         if args.svg:
-            bundle = LineBundle(
+            _write_svg(f"{prefix}_preasym.svg", LineBundle(
                 "Preasymptotic diagnostics", "time", "value",
-                (Series("distance", times, report.distance_curve),
-                 Series("fluctuation", times[window:], report.fluctuation_curve)))
-            Path(f"{prefix}_preasym.svg").write_text(render_svg(bundle),
-                                                     encoding="utf-8")
+                preasym_series(report, times)))
     return 0
 
 
@@ -213,27 +202,11 @@ def cmd_spde(args: argparse.Namespace) -> int:
                     boundary=boundary, initial_profile=profile)
     field = simulate_heat_spde(spec, args.dx, args.dt, args.t, args.seed)
     prefix = args.out_prefix
-    header = ["time"] + [f"u{j}" for j in range(field.x_grid.size)]
-    rows = ([field.t_grid[k], *field.u[k]] for k in range(field.t_grid.size))
-    write_csv(f"{prefix}_field.csv", header, rows)
-    initial, final = extract_profiles(field)
-    rows = ([field.x_grid[j], initial[j], final[j]]
-            for j in range(field.x_grid.size))
-    write_csv(f"{prefix}_profiles.csv", ["x", "initial", "final"], rows)
+    write_csv(f"{prefix}_field.csv", *field_table(field))
+    write_csv(f"{prefix}_profiles.csv", *profile_table(field))
     if args.svg:
-        from .svgplot import HeatmapBundle
-        stride = max(1, field.t_grid.size // 120)
-        heat = HeatmapBundle("Stochastic heat field", "x", "time",
-                             (float(field.x_grid[0]), float(field.x_grid[-1])),
-                             (float(field.t_grid[0]), float(field.t_grid[-1])),
-                             field.u[::stride])
-        Path(f"{prefix}_field.svg").write_text(render_svg(heat, "heatmap"),
-                                               encoding="utf-8")
-        prof = LineBundle("Initial vs final profile", "x", "u",
-                          (Series("initial", field.x_grid, initial),
-                           Series("final", field.x_grid, final)))
-        Path(f"{prefix}_profiles.svg").write_text(render_svg(prof),
-                                                  encoding="utf-8")
+        _write_svg(f"{prefix}_field.svg", heatmap_bundle(field), "heatmap")
+        _write_svg(f"{prefix}_profiles.svg", profile_bundle(field))
     return 0
 
 
@@ -246,9 +219,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         f_min=args.f_min, f_max=args.f_max, seed=args.seed,
         initial_fraction=args.initial_fraction)
     best, history = evolutionary_optimize(config, spec)
-    rows = ([str(g), stat.best_fraction, stat.best_fitness]
-            for g, stat in enumerate(history))
-    write_csv(args.out, ["generation", "best_fraction", "best_fitness"], rows)
+    write_csv(args.out, ["generation", "best_fraction", "best_fitness"],
+              [[str(g) for g in range(len(history))],
+               [stat.best_fraction for stat in history],
+               [stat.best_fitness for stat in history]])
     print(f"{best:.17g}")
     return 0
 

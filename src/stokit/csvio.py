@@ -13,39 +13,47 @@ from .errors import SchemaError
 from .processes import Ensemble, TimeGrid
 
 
-def fmt(value) -> str:
-    """17-significant-digit rendering; empty string for None."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.17g}"
+def render_csv(header: list[str], columns) -> str:
+    """Render a table given column by column.
+
+    Numbers print as ``%.17g`` and string columns as they are; a column
+    shorter than the longest is padded with empty cells.  Rows are formatted
+    one at a time with one format string per run of equally padded rows.
+    """
+    lengths = [len(column) for column in columns]
+    is_text = [isinstance(column[0], str) for column in columns]
+    n_rows = max(lengths)
+    if any(is_text) or min(lengths) < n_rows:
+        table = np.full((n_rows, len(columns)), "", dtype=object)
+    else:
+        table = np.empty((n_rows, len(columns)))
+    for j, column in enumerate(columns):
+        table[:lengths[j], j] = column
+    lines = [",".join(header) + "\n"]
+    start = 0
+    for stop in sorted(set(lengths)):
+        row_format = ",".join("%s" if text or n < stop else "%.17g"
+                              for text, n in zip(is_text, lengths)) + "\n"
+        lines.extend(row_format % tuple(row.tolist()) for row in table[start:stop])
+        start = stop
+    return "".join(lines)
 
 
-def render_csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(path, header: list[str], rows) -> None:
+def write_csv(path, header: list[str], columns) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_csv(header, rows))
+        fh.write(render_csv(header, columns))
 
 
 def ensemble_to_csv(ensemble: Ensemble) -> str:
     header = ["time"] + [f"inst_{i}" for i in range(ensemble.num_instances)]
-    times = ensemble.grid.times
-    values = ensemble.values
-    rows = ([times[k], *values[:, k]] for k in range(times.size))
-    return render_csv(header, rows)
+    return render_csv(header, [ensemble.grid.times, *ensemble.values])
 
 
 def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     """Parse the `time,inst_0,...` schema back into an Ensemble.
 
-    The returned ensemble carries no spec/seed provenance.
+    Every cell must be a finite number.  The returned ensemble carries no
+    spec/seed provenance.
     """
     lines = text.splitlines()
     if not lines:
@@ -57,25 +65,22 @@ def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     for i, name in enumerate(header[1:]):
         if name != f"inst_{i}":
             raise SchemaError(f"{source}: unexpected column {name!r} at position {i + 1}")
-    n_cols = len(header)
-    times = []
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != n_cols:
-            raise SchemaError(
-                f"{source}:{lineno}: expected {n_cols} columns, got {len(cells)}")
-        try:
-            parsed = [float(c) for c in cells]
-        except ValueError as exc:
-            raise SchemaError(f"{source}:{lineno}: {exc}") from None
-        times.append(parsed[0])
-        rows.append(parsed[1:])
-    if len(times) < 2:
+    rows = [line for line in lines[1:] if line]
+    if len(rows) < 2:
         raise SchemaError(f"{source}: need at least 2 grid rows")
-    times = np.asarray(times)
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"{source}: {exc}") from None
+    if data.shape[1] != len(header):
+        raise SchemaError(
+            f"{source}: expected {len(header)} columns, got {data.shape[1]}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise SchemaError(f"{source}: non-finite value {data[row, col]} in "
+                          f"column {header[col]!r} of data row {row + 1}")
+    times = data[:, 0]
     dts = np.diff(times)
     dt = float(dts[0])
     if dt <= 0.0 or np.any(np.abs(dts - dt) > 1e-9 * max(1.0, abs(dt))):
@@ -83,8 +88,7 @@ def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     if abs(times[0]) > 1e-12:
         raise SchemaError(f"{source}: time grid must start at 0, got {times[0]}")
     grid = TimeGrid(dt=dt, n_steps=len(times) - 1)
-    values = np.asarray(rows, dtype=np.float64).T
-    return Ensemble(grid=grid, values=values, spec=None, seed=None)
+    return Ensemble(grid=grid, values=data[:, 1:].T, spec=None, seed=None)
 
 
 def read_ensemble_csv(path) -> Ensemble:

@@ -1,7 +1,9 @@
-"""Builders for the five replication figures (data + graphics).
+"""Builders for the five replication figures (data + graphics), and the
+diagnostic tables and charts they share with the CLI.
 
-Each builder returns the figure's CSV text, its SVG document, and a note for
-the run manifest.  Everything is a pure function of the seed.
+Each table builder returns ``(header, columns)`` for ``render_csv``.  Each
+figure builder returns the figure's CSV text, its SVG document, and a note
+for the run manifest.  Everything is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import render_csv
-from .diagnostics import (DEFAULT_FAN_LEVELS, preasymptotic_report,
-                          quantile_fan, summary_curves)
+from .diagnostics import (DEFAULT_FAN_LEVELS, PreasymptoticReport, QuantileFan,
+                          SummaryCurves, preasymptotic_report, quantile_fan,
+                          summary_curves)
 from .processes import (AdaptiveOU, Brownian, GeometricLevy,
                         OrnsteinUhlenbeck, simulate)
 from .rng import derive_seed
-from .spde import Dirichlet, SpdeSpec, extract_profiles, simulate_heat_spde
+from .spde import (Dirichlet, FieldSolution, SpdeSpec, extract_profiles,
+                   simulate_heat_spde)
 from .svgplot import HeatmapBundle, LineBundle, Series, render_panels
 
 FIG1_BROWNIAN = dict(drift=0.0, scale=1.0, t=3.0, dt=0.01, n=240)
@@ -36,6 +40,11 @@ class FigureBundle:
     note: str
 
 
+Table = tuple[list[str], list]  # (header, columns) for render_csv
+
+
+# --- tables and charts shared by the figures and the CLI -------------------
+
 def level_column(level: float) -> str:
     pct = 100.0 * level
     if abs(pct - round(pct)) < 1e-9:
@@ -43,10 +52,69 @@ def level_column(level: float) -> str:
     return f"q{pct:g}"
 
 
-def fan_series(fan, times) -> list[Series]:
-    return [Series(name=level_column(p), x=times, y=fan.curves[i])
-            for i, p in enumerate(fan.levels)]
+def fan_table(fan: QuantileFan, times: np.ndarray, prefix: str = "") -> Table:
+    """``time,q05,...`` with every column name prefixed by ``prefix``."""
+    header = [f"{prefix}time"] + [f"{prefix}{level_column(p)}" for p in fan.levels]
+    return header, [times, *fan.curves]
 
+
+def fan_series(fan: QuantileFan, times: np.ndarray) -> tuple[Series, ...]:
+    return tuple(Series(name=level_column(p), x=times, y=fan.curves[i])
+                 for i, p in enumerate(fan.levels))
+
+
+def summary_table(summary: SummaryCurves, times: np.ndarray) -> Table:
+    return (["time", "amean", "median", "gmean"],
+            [times, summary.arithmetic_mean, summary.median, summary.geometric_mean])
+
+
+def summary_series(summary: SummaryCurves, times: np.ndarray) -> tuple[Series, ...]:
+    return (Series("arithmetic mean", times, summary.arithmetic_mean),
+            Series("median", times, summary.median),
+            Series("geometric mean", times, summary.geometric_mean))
+
+
+def preasym_table(report: PreasymptoticReport, times: np.ndarray) -> Table:
+    """The fluctuation column is nan until one full window has passed."""
+    fluctuation = np.full(times.size, np.nan)
+    fluctuation[report.window:] = report.fluctuation_curve
+    return (["time", "distance", "fluctuation"],
+            [times, report.distance_curve, fluctuation])
+
+
+def preasym_series(report: PreasymptoticReport, times: np.ndarray
+                   ) -> tuple[Series, Series]:
+    return (Series("distance", times, report.distance_curve),
+            Series("fluctuation", times[report.window:], report.fluctuation_curve))
+
+
+def field_table(field: FieldSolution) -> Table:
+    header = ["time"] + [f"u{j}" for j in range(field.x_grid.size)]
+    return header, [field.t_grid, *field.u.T]
+
+
+def profile_table(field: FieldSolution) -> Table:
+    initial, final = extract_profiles(field)
+    return ["x", "initial", "final"], [field.x_grid, initial, final]
+
+
+def heatmap_bundle(field: FieldSolution) -> HeatmapBundle:
+    """The space-time field, thinned to about 120 time rows."""
+    stride = max(1, field.t_grid.size // 120)
+    return HeatmapBundle("Stochastic heat field", "x", "time",
+                         (float(field.x_grid[0]), float(field.x_grid[-1])),
+                         (float(field.t_grid[0]), float(field.t_grid[-1])),
+                         field.u[::stride])
+
+
+def profile_bundle(field: FieldSolution) -> LineBundle:
+    initial, final = extract_profiles(field)
+    return LineBundle("Initial vs final profile", "x", "u",
+                      (Series("initial", field.x_grid, initial),
+                       Series("final", field.x_grid, final)))
+
+
+# --- the five figures --------------------------------------------------------
 
 def build_fig1(seed: int, workers: int = 1) -> FigureBundle:
     """Quantile fans: additive Gaussian ensemble vs heavy-tailed multiplicative."""
@@ -58,28 +126,20 @@ def build_fig1(seed: int, workers: int = 1) -> FigureBundle:
                   q["t"], q["dt"], q["n"], derive_seed(seed, 2), workers=workers)
     bm_fan = quantile_fan(bm)
     gl_fan = quantile_fan(gl)
-    bm_times, gl_times = bm.grid.times, gl.grid.times
-    header = (["bm_time"] + [f"bm_{level_column(p_)}" for p_ in bm_fan.levels]
-              + ["gl_time"] + [f"gl_{level_column(p_)}" for p_ in gl_fan.levels])
-    n_rows = max(bm_times.size, gl_times.size)
-    rows = []
-    for k in range(n_rows):
-        left = ([bm_times[k], *bm_fan.curves[:, k]] if k < bm_times.size
-                else [None] * (1 + len(bm_fan.levels)))
-        right = ([gl_times[k], *gl_fan.curves[:, k]] if k < gl_times.size
-                 else [None] * (1 + len(gl_fan.levels)))
-        rows.append(left + right)
+    bm_header, bm_columns = fan_table(bm_fan, bm.grid.times, "bm_")
+    gl_header, gl_columns = fan_table(gl_fan, gl.grid.times, "gl_")
     svg = render_panels([
         (LineBundle("Brownian ensemble quantile fan", "time", "value",
-                    tuple(fan_series(bm_fan, bm_times))), "lines"),
+                    fan_series(bm_fan, bm.grid.times)), "lines"),
         (LineBundle("Geometric Levy ensemble quantile fan", "time", "value",
-                    tuple(fan_series(gl_fan, gl_times)), log_y=True), "lines"),
+                    fan_series(gl_fan, gl.grid.times), log_y=True), "lines"),
     ])
     note = (f"fig1: brownian drift={p['drift']} scale={p['scale']} t={p['t']} "
             f"dt={p['dt']} n={p['n']}; glevy alpha={q['alpha']} beta={q['beta']} "
             f"scale={q['scale']} loc={q['loc']} t={q['t']} dt={q['dt']} n={q['n']}; "
             f"levels={','.join(str(v) for v in DEFAULT_FAN_LEVELS)}")
-    return FigureBundle("fig1", render_csv(header, rows), svg, note)
+    return FigureBundle("fig1", render_csv(bm_header + gl_header,
+                                           bm_columns + gl_columns), svg, note)
 
 
 def build_fig2(seed: int, workers: int = 1) -> FigureBundle:
@@ -91,29 +151,26 @@ def build_fig2(seed: int, workers: int = 1) -> FigureBundle:
                    q["t"], q["dt"], q["n"], derive_seed(seed, 3), workers=workers)
     summary = summary_curves(ens)
     times = ens.grid.times
-    header = (["time"] + [f"traj_{i}" for i in range(_FIG2_TRAJECTORIES)]
-              + ["amean", "median", "gmean"])
-    rows = ([times[k], *ens.values[:_FIG2_TRAJECTORIES, k],
-             summary.arithmetic_mean[k], summary.median[k],
-             summary.geometric_mean[k]] for k in range(times.size))
-    traj_series = tuple(Series(f"traj_{i}", times, ens.values[i])
-                        for i in range(_FIG2_TRAJECTORIES))
-    summary_series = (Series("arithmetic mean", times, summary.arithmetic_mean),
-                      Series("median", times, summary.median),
-                      Series("geometric mean", times, summary.geometric_mean))
+    trajectories = ens.values[:_FIG2_TRAJECTORIES]
+    names = [f"traj_{i}" for i in range(_FIG2_TRAJECTORIES)]
+    header, columns = summary_table(summary, times)
+    header = header[:1] + names + header[1:]
+    columns = columns[:1] + list(trajectories) + columns[1:]
     svg = render_panels([
         (LineBundle("Geometric Levy sample trajectories", "time", "value",
-                    traj_series, log_y=True), "lines"),
+                    tuple(Series(name, times, path)
+                          for name, path in zip(names, trajectories)),
+                    log_y=True), "lines"),
         (LineBundle("Ensemble summary divergence", "time", "value",
-                    summary_series, log_y=True), "lines"),
+                    summary_series(summary, times), log_y=True), "lines"),
     ])
     note = (f"fig2: glevy alpha={q['alpha']} beta={q['beta']} scale={q['scale']} "
             f"loc={q['loc']} t={q['t']} dt={q['dt']} n={q['n']}; "
             f"{_FIG2_TRAJECTORIES} trajectories shown")
-    return FigureBundle("fig2", render_csv(header, rows), svg, note)
+    return FigureBundle("fig2", render_csv(header, columns), svg, note)
 
 
-def build_fig3(seed: int, workers: int = 1) -> FigureBundle:
+def build_fig3(seed: int) -> FigureBundle:
     """Adaptive mean reversion against a fixed-rate baseline on shared noise."""
     p = FIG3_PARAMS
     s3 = derive_seed(seed, 4)
@@ -128,8 +185,7 @@ def build_fig3(seed: int, workers: int = 1) -> FigureBundle:
     times = fixed.grid.times
     theta_path = adaptive.theta_paths[0]
     header = ["time", "fixed_state", "adaptive_state", "adaptive_theta"]
-    rows = ([times[k], fixed.values[0, k], adaptive.values[0, k], theta_path[k]]
-            for k in range(times.size))
+    columns = [times, fixed.values[0], adaptive.values[0], theta_path]
     svg = render_panels([
         (LineBundle("Fixed vs adaptive mean reversion", "time", "state",
                     (Series("fixed rate", times, fixed.values[0]),
@@ -142,10 +198,10 @@ def build_fig3(seed: int, workers: int = 1) -> FigureBundle:
     note = (f"fig3: ou/aou theta0={p['theta0']} mean={p['mean']} scale={p['scale']} "
             f"x0={p['x0']} eta={p['eta']} band={p['band']} "
             f"bounds=[{p['theta_min']},{p['theta_max']}] t={p['t']} dt={p['dt']}")
-    return FigureBundle("fig3", render_csv(header, rows), svg, note)
+    return FigureBundle("fig3", render_csv(header, columns), svg, note)
 
 
-def build_fig4(seed: int, workers: int = 1) -> FigureBundle:
+def build_fig4(seed: int) -> FigureBundle:
     """Preasymptotic diagnostics of log-wealth under heavy-tailed
     multiplicative dynamics."""
     q, p = FIG1_GLEVY, FIG4_PARAMS
@@ -157,52 +213,35 @@ def build_fig4(seed: int, workers: int = 1) -> FigureBundle:
                                   tail_fraction=p["tail_fraction"],
                                   window=p["window"])
     times = ens.grid.times
-    window = report.window
-    header = ["time", "distance", "fluctuation"]
-    rows = ([times[k], report.distance_curve[k],
-             report.fluctuation_curve[k - window] if k >= window else float("nan")]
-            for k in range(times.size))
+    distance, fluctuation = preasym_series(report, times)
     svg = render_panels([
         (LineBundle("Distance to estimated asymptote", "time", "|deviation|",
-                    (Series("distance", times, report.distance_curve),)), "lines"),
+                    (distance,)), "lines"),
         (LineBundle("Rolling fluctuation of increments", "time", "sd",
-                    (Series("fluctuation", times[window:],
-                            report.fluctuation_curve),)), "lines"),
+                    (fluctuation,)), "lines"),
     ])
     note = (f"fig4: glevy alpha={q['alpha']} beta={q['beta']} scale={q['scale']} "
             f"loc={q['loc']} t={p['t']} dt={p['dt']}; log-wealth, "
             f"tail_fraction={p['tail_fraction']} window={p['window']}; "
             f"asymptote slope={report.slope:.17g} intercept={report.intercept:.17g}")
-    return FigureBundle("fig4", render_csv(header, rows), svg, note)
+    return FigureBundle("fig4", render_csv(*preasym_table(report, times)), svg, note)
 
 
-def build_fig5(seed: int, workers: int = 1) -> FigureBundle:
+def build_fig5(seed: int) -> FigureBundle:
     """Stochastic heat field: space-time view plus initial/final profiles."""
     p = FIG5_PARAMS
     spec = SpdeSpec(kappa=p["kappa"], sigma=p["sigma"], length=p["length"],
                     boundary=Dirichlet(0.0, 0.0),
                     initial_profile=lambda x: np.sin(np.pi * x / p["length"]))
     field = simulate_heat_spde(spec, p["dx"], p["dt"], p["t"], derive_seed(seed, 6))
-    initial, final = extract_profiles(field)
-    header = ["time"] + [f"u{j}" for j in range(field.x_grid.size)]
-    rows = ([field.t_grid[k], *field.u[k]] for k in range(field.t_grid.size))
-    stride = max(1, field.t_grid.size // 120)
-    svg = render_panels([
-        (HeatmapBundle("Stochastic heat field", "x", "time",
-                       (float(field.x_grid[0]), float(field.x_grid[-1])),
-                       (float(field.t_grid[0]), float(field.t_grid[-1])),
-                       field.u[::stride]), "heatmap"),
-        (LineBundle("Initial vs final profile", "x", "u",
-                    (Series("initial", field.x_grid, initial),
-                     Series("final", field.x_grid, final))), "lines"),
-    ])
+    svg = render_panels([(heatmap_bundle(field), "heatmap"),
+                         (profile_bundle(field), "lines")])
     note = (f"fig5: heat spde kappa={p['kappa']} sigma={p['sigma']} "
             f"L={p['length']} dx={p['dx']:.17g} dt={p['dt']} t={p['t']} "
             f"dirichlet 0/0, sine initial profile")
-    return FigureBundle("fig5", render_csv(header, rows), svg, note)
+    return FigureBundle("fig5", render_csv(*field_table(field)), svg, note)
 
 
 def build_all(seed: int, workers: int = 1) -> list[FigureBundle]:
     return [build_fig1(seed, workers), build_fig2(seed, workers),
-            build_fig3(seed, workers), build_fig4(seed, workers),
-            build_fig5(seed, workers)]
+            build_fig3(seed), build_fig4(seed), build_fig5(seed)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SizeError, StabilityError
+from .errors import DomainError, GridError, SizeError, StabilityError
 from .rng import RngStream, sample_gaussian, sample_poisson_events, sample_stable, substream
 
 
@@ -54,13 +54,16 @@ class TimeGrid:
 
     @classmethod
     def from_horizon(cls, horizon: float, dt: float) -> "TimeGrid":
-        """Round horizon to a whole number of steps (the grid's horizon is
-        n_steps * dt from here on)."""
+        """Grid of horizon / dt steps; the horizon must be a whole number of
+        steps to within 1e-9, as the SPDE spatial grid must be of dx."""
         if dt <= 0.0:
             raise DomainError(f"dt must be > 0, got {dt}")
         if horizon < dt:
             raise SizeError(f"horizon {horizon} is shorter than one step dt={dt}")
-        return cls(dt=dt, n_steps=int(round(horizon / dt)))
+        n_steps = int(round(horizon / dt))
+        if abs(n_steps * dt - horizon) > 1e-9:
+            raise GridError(f"horizon {horizon} is not a whole number of steps dt={dt}")
+        return cls(dt=dt, n_steps=n_steps)
 
 
 class ProcessSpec:
@@ -216,56 +219,6 @@ class Ensemble:
     @property
     def num_instances(self) -> int:
         return self.values.shape[0]
-
-
-# --- single-step updates -------------------------------------------------
-
-def additive_step(x: float, drift: float, scale: float, dt: float, z: float,
-                  alpha: float = 2.0) -> float:
-    """x + drift*dt + scale * dt**(1/alpha) * z.  alpha=2 is the Gaussian
-    sqrt(dt) convention; stable drivers pass their own alpha."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    return x + drift * dt + scale * dt ** (1.0 / alpha) * z
-
-
-def multiplicative_log_step(x: float, loc: float, scale: float, alpha: float,
-                            dt: float, z: float) -> float:
-    """x * exp(loc*dt + scale * dt**(1/alpha) * z); requires x > 0.
-
-    GeometricBrownian callers pass loc = mu - sigma**2/2 and alpha = 2, which
-    makes this the exact log-normal update.
-    """
-    if x <= 0.0:
-        raise DomainError(f"multiplicative state must be > 0, got {x}")
-    if dt <= 0.0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    return x * math.exp(loc * dt + scale * dt ** (1.0 / alpha) * z)
-
-
-def ou_step(x: float, theta: float, mean: float, scale: float, dt: float,
-            z: float) -> float:
-    """Euler-Maruyama mean-reversion step; requires theta*dt < 1."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    if theta * dt >= 1.0:
-        raise StabilityError(
-            f"explicit scheme unstable: theta*dt = {theta * dt:.6g} >= 1")
-    return x + theta * (mean - x) * dt + scale * math.sqrt(dt) * z
-
-
-def adaptive_theta_update(theta: float, x: float, mean: float, eta: float,
-                          band: float, theta_min: float, theta_max: float,
-                          dt: float) -> float:
-    """theta + eta * (|x - mean| - band) * dt, clipped to [theta_min, theta_max]."""
-    if theta_min > theta_max:
-        raise DomainError(f"theta_min {theta_min} exceeds theta_max {theta_max}")
-    if band < 0.0:
-        raise DomainError(f"band must be >= 0, got {band}")
-    if dt <= 0.0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    proposal = theta + eta * (abs(x - mean) - band) * dt
-    return min(max(proposal, theta_min), theta_max)
 
 
 # --- per-instance path builders ------------------------------------------

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, GridError, SizeError, StabilityError
+from .processes import TimeGrid
 from .rng import sample_gaussian, substream
 
 
@@ -72,15 +73,11 @@ def simulate_heat_spde(spec: SpdeSpec, dx: float, dt: float, horizon: float,
                        seed: int) -> FieldSolution:
     if dx <= 0.0:
         raise DomainError(f"dx must be > 0, got {dx}")
-    if dt <= 0.0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    grid = TimeGrid.from_horizon(horizon, dt)
     n_x = int(round(spec.length / dx))
     if n_x < 2 or abs(n_x * dx - spec.length) > 1e-9:
         raise GridError(
             f"domain length {spec.length} is not a multiple of dx={dx}")
-    n_t = int(round(horizon / dt))
-    if n_t < 1:
-        raise SizeError(f"horizon {horizon} is shorter than one step dt={dt}")
     ratio = spec.kappa * dt / dx ** 2
     if ratio > 0.5 + 1e-12:
         raise StabilityError(
@@ -94,14 +91,14 @@ def simulate_heat_spde(spec: SpdeSpec, dx: float, dt: float, horizon: float,
             f"initial profile has {u0.size} values; grid has {x.size} nodes")
 
     dirichlet = isinstance(spec.boundary, Dirichlet)
-    u = np.empty((n_t + 1, n_x + 1))
+    u = np.empty((grid.n_steps + 1, n_x + 1))
     u[0] = u0
     if dirichlet:
         u[0, 0] = spec.boundary.left
         u[0, -1] = spec.boundary.right
 
     noise_width = spec.sigma * math.sqrt(dt / dx)
-    for k in range(n_t):
+    for k in range(grid.n_steps):
         prev = u[k]
         nxt = u[k + 1]
         nxt[1:-1] = prev[1:-1] + ratio * (prev[2:] - 2.0 * prev[1:-1] + prev[:-2])
@@ -114,7 +111,7 @@ def simulate_heat_spde(spec: SpdeSpec, dx: float, dt: float, horizon: float,
         else:
             nxt[0] = prev[0] + 2.0 * ratio * (prev[1] - prev[0])
             nxt[-1] = prev[-1] + 2.0 * ratio * (prev[-2] - prev[-1])
-    return FieldSolution(x_grid=x, t_grid=np.arange(n_t + 1) * dt, u=u,
+    return FieldSolution(x_grid=x, t_grid=grid.times, u=u,
                          spec=spec, seed=seed)
 
 

@@ -56,6 +56,14 @@ class TestSimulateCommand:
                     "--out", tmp_path / "x.csv"])
         assert code == 2
 
+    def test_partial_step_horizon_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "brownian", "--t", 1, "--dt", 0.3, "--n", 2,
+                    "--out", out])
+        assert code == 2
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDiagnoseCommand:
     @pytest.fixture

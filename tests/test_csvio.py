@@ -1,14 +1,46 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stokit import Brownian, SchemaError, simulate
-from stokit.csvio import ensemble_to_csv, fmt, parse_ensemble_csv
+from stokit.csvio import ensemble_to_csv, parse_ensemble_csv, render_csv
+
+finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1e308, -1e308, 1.7976931348623157e308]))
+columns = st.integers(1, 4).flatmap(
+    lambda n_cols: st.lists(st.lists(finite_doubles, min_size=1, max_size=6),
+                            min_size=n_cols, max_size=n_cols))
 
 
-def test_fmt_round_trips_doubles():
-    values = [0.1, 1.0 / 3.0, 1e-300, -7.25e17, float(np.pi)]
-    for v in values:
-        assert float(fmt(v)) == v
+@given(columns)
+def test_render_csv_matches_per_cell_rule(cols):
+    n_rows = max(len(col) for col in cols)
+    header = [f"c{j}" for j in range(len(cols))]
+    expected = [",".join(header)] + [
+        ",".join(f"{col[k]:.17g}" if k < len(col) else "" for col in cols)
+        for k in range(n_rows)]
+    assert render_csv(header, cols) == "\n".join(expected) + "\n"
+
+
+@given(st.lists(finite_doubles, min_size=2, max_size=8), st.integers(1, 3),
+       st.data())
+def test_render_parse_round_trip_is_bit_exact(first, n_inst, data):
+    n_rows = len(first)
+    values = np.array([first] + [data.draw(st.lists(
+        finite_doubles, min_size=n_rows, max_size=n_rows))
+        for _ in range(n_inst - 1)])
+    times = np.arange(n_rows) * 0.25
+    header = ["time"] + [f"inst_{i}" for i in range(n_inst)]
+    back = parse_ensemble_csv(render_csv(header, [times, *values]))
+    assert back.values.tobytes() == values.tobytes()
+
+
+def test_render_csv_text_columns():
+    text = render_csv(["metric", "value"], [["a", "b"], [0.1, -0.0]])
+    assert text == "metric,value\na,0.10000000000000001\nb,-0\n"
 
 
 def test_ensemble_round_trip_is_exact():
@@ -28,6 +60,10 @@ def test_ensemble_round_trip_is_exact():
     "time,inst_0\n0,1\n1,x\n",                 # non-numeric cell
     "time,inst_0\n0,1\n1,2\n3,4\n",            # nonuniform grid
     "time,inst_0\n1,1\n2,2\n",                 # grid not starting at 0
+    "time,inst_0\n0,1\n1,nan\n",               # nan cell
+    "time,inst_0\n0,inf\n1,2\n",               # inf cell
+    "time,inst_0\n0,1\n1,-inf\n",              # -inf cell
+    "time,inst_0\n0,1\nnan,2\n",               # nan time
 ])
 def test_schema_violations(text):
     with pytest.raises(SchemaError):

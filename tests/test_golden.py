@@ -1,0 +1,83 @@
+"""Pinned digests that guard the byte-identity promise.
+
+Two tiers:
+
+* The RNG core (seed derivation, raw words, uniforms) uses only integer and
+  exactly rounded float operations, so its digests hold on every platform.
+* The ``replicate --seed 12345`` outputs go through transcendental numpy
+  kernels whose last bits depend on the numpy build and on its SIMD dispatch
+  target.  Their digests are checked only where both match the recorded
+  environment; elsewhere the test is skipped with the reason.
+
+A change that moves any of these bits must say so and re-pin them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from stokit.cli import main
+from stokit.rng import RngStream, derive_seed
+
+PAIRS = [(0, 0), (12345, 0), (12345, 7), (2**64 - 1, 3),
+         (derive_seed(12345, 1), 239)]
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def test_derive_seed_digest():
+    got = _digest(str(derive_seed(s, i, *salt)).encode()
+                  for s, i in PAIRS for salt in ((), (2**63,)))
+    assert got == "33d2dc98c73d97a6ba0df09364186ded044191a60a3ac6edff6cf6990cc53c7e"
+
+
+def test_raw_words_digest():
+    got = _digest(RngStream(s, i)._words(1000).astype("<u8").tobytes()
+                  for s, i in PAIRS)
+    assert got == "c641fbbf473832f9751265e720c26f3dc904921b88bc0d63de251e9265d24d8e"
+
+
+def test_uniforms_digest():
+    got = _digest(RngStream(s, i).uniforms(1000).astype("<f8").tobytes()
+                  for s, i in PAIRS)
+    assert got == "1c9bec0848487612e8c8e18da2d0e6cce62380417b3e37b4172ef2e705acb8cd"
+
+
+RECORDED_NUMPY = "2.4.6"
+RECORDED_DISPATCH = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+REPLICATE_DIGESTS = {
+    "fig1.csv": "6cab03e474a57fc8902b16f40adea0d472254502976615b5015c839d4baebfdb",
+    "fig1.svg": "a82bf754980b877681b90899775257bd0b9551713a1065806350ed1c9ea8029e",
+    "fig2.csv": "b1dba974b917e98871d6533f049f0f0473c4d49e1cbc6ed05b4abb6a5c3ace14",
+    "fig2.svg": "b3bab77ae086e00cbe7929efd9001e5e38c475b151f724354e0613079377b716",
+    "fig3.csv": "b48d10e847730257a775ef477264134b1a5fdd83c82bdfac24bdd9771afcd77f",
+    "fig3.svg": "1426b0189139c76ecfd94baa8564fc37a404a1071edb565a02faffd9e2a3c2d9",
+    "fig4.csv": "a322e64065b156ce1bee5b840a8b4555be06bb52a828afdec071c302273fc9f8",
+    "fig4.svg": "99049608730dfc5251f8eb2b1a1edebac3256f1c830eb4c02c5509d8ad8aa0c8",
+    "fig5.csv": "2d774c722eb96606eee16e957ec76f6247df0e8a6e1d5647f42b5eaf68ca79ce",
+    "fig5.svg": "5c94df7d038d19bed5cb4dc61c2a2c13e44ad10fa732c9f039a3d9383befe960",
+}
+
+
+def _dispatch_targets() -> list[str]:
+    """The SIMD targets numpy was built for that this CPU enables."""
+    from numpy._core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def test_replicate_digests(tmp_path):
+    environment = (np.__version__, _dispatch_targets())
+    if environment != (RECORDED_NUMPY, RECORDED_DISPATCH):
+        pytest.skip(f"digests recorded with numpy {RECORDED_NUMPY} dispatching "
+                    f"to {RECORDED_DISPATCH}; running numpy {environment[0]} "
+                    f"dispatching to {environment[1]}")
+    assert main(["replicate", "--outdir", str(tmp_path), "--seed", "12345"]) == 0
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    got = dict(line.split("\t") for line in lines if not line.startswith("#"))
+    assert got == REPLICATE_DIGESTS

@@ -5,8 +5,7 @@ import pytest
 
 from stokit import (AdaptiveOU, Brownian, DomainError, GeometricBrownian,
                     GeometricLevy, LevyStable, OrnsteinUhlenbeck, Poisson,
-                    SizeError, StabilityError, TimeGrid, additive_step,
-                    adaptive_theta_update, multiplicative_log_step, ou_step,
+                    GridError, SizeError, StabilityError, TimeGrid,
                     sample_gaussian, simulate, substream)
 
 
@@ -38,59 +37,76 @@ class TestSpecs:
         assert len(grid.times) == 301
         with pytest.raises(SizeError):
             TimeGrid.from_horizon(0.005, 0.01)
+        assert TimeGrid.from_horizon(200.0, 0.01).n_steps == 20000
+        assert TimeGrid.from_horizon(0.25, 1e-3).n_steps == 250
+        for horizon, dt in ((1.0, 0.3), (1.0, 0.15), (0.0105, 0.01)):
+            with pytest.raises(GridError):
+                TimeGrid.from_horizon(horizon, dt)
 
 
 class TestSteps:
+    """Single steps of the path builders, read off one- and two-step runs."""
+
     def test_additive_unit_step(self):
-        assert additive_step(0.0, 0.0, 1.0, 1.0, 1.5) == 1.5
+        ens = simulate(Brownian(drift=0.0, scale=1.0), 1.0, 1.0, 1, 5)
+        z = sample_gaussian(substream(5, 0), 1)
+        assert ens.values[0, 1] == z[0]
 
     def test_additive_pure_drift(self):
-        assert additive_step(2.0, 3.0, 0.0, 0.5, 123.0) == 3.5
+        ens = simulate(Brownian(drift=3.0, scale=0.0, x0=2.0), 0.5, 0.5, 1, 0)
+        assert ens.values[0, 1] == 3.5
 
     def test_additive_variance_accumulates(self):
-        # Composing steps must reproduce Brownian terminal variance scale^2*T.
+        # Composed steps reproduce the Brownian terminal variance scale^2*T.
         rows, n, dt, scale = 10**4, 100, 0.01, 1.2
-        terminal = np.empty(rows)
-        for i in range(rows):
-            z = sample_gaussian(substream(13, i), n)
-            x = 0.0
-            for k in range(n):
-                x = additive_step(x, 0.0, scale, dt, z[k])
-            terminal[i] = x
+        terminal = simulate(Brownian(0.0, scale), n * dt, dt, rows, 13).values[:, -1]
         target = scale**2 * n * dt
         assert abs(terminal.var() / target - 1.0) < 0.05
 
     def test_multiplicative_identity(self):
-        assert multiplicative_log_step(1.0, 0.0, 0.0, 2.0, 0.37, 9.9) == 1.0
+        ens = simulate(GeometricBrownian(mu=0.0, sigma=0.0), 0.74, 0.37, 2, 9)
+        assert np.all(ens.values == 1.0)
 
     def test_multiplicative_pure_drift(self):
-        got = multiplicative_log_step(2.0, 0.1, 0.0, 2.0, 1.0, 5.0)
-        assert got == pytest.approx(2.0 * math.exp(0.1), rel=1e-15)
+        ens = simulate(GeometricBrownian(mu=0.1, sigma=0.0, x0=2.0), 1.0, 1.0, 1, 5)
+        assert ens.values[0, 1] == pytest.approx(2.0 * math.exp(0.1), rel=1e-15)
 
     def test_multiplicative_rejects_nonpositive_state(self):
         with pytest.raises(DomainError):
-            multiplicative_log_step(0.0, 0.1, 0.2, 2.0, 0.01, 0.0)
+            GeometricBrownian(mu=0.1, sigma=0.2, x0=0.0)
+        with pytest.raises(DomainError):
+            GeometricLevy(alpha=1.5, beta=0.0, scale=0.2, x0=-1.0)
 
     def test_ou_fixed_point(self):
-        assert ou_step(0.7, 0.5, 0.7, 0.0, 0.1, 3.0) == 0.7
+        ens = simulate(OrnsteinUhlenbeck(0.5, 0.7, 0.0, 0.7), 0.2, 0.1, 1, 3)
+        assert np.all(ens.values == 0.7)
 
     def test_ou_direct_value(self):
-        assert ou_step(1.0, 0.5, 0.0, 0.0, 0.1, 0.0) == pytest.approx(0.95)
+        ens = simulate(OrnsteinUhlenbeck(0.5, 0.0, 0.0, 1.0), 0.1, 0.1, 1, 3)
+        assert ens.values[0, 1] == pytest.approx(0.95)
 
     def test_ou_stability_guard(self):
         with pytest.raises(StabilityError):
-            ou_step(1.0, 20.0, 0.0, 1.0, 0.1, 0.0)
+            simulate(OrnsteinUhlenbeck(20.0, 0.0, 1.0, 1.0), 1.0, 0.1, 1, 0)
 
     def test_adaptive_theta_zero_gain(self):
-        assert adaptive_theta_update(1.3, 99.0, 0.0, 0.0, 0.0, 0.01, 50.0, 0.1) == 1.3
+        spec = AdaptiveOU(theta0=1.3, mean=0.0, scale=1.0, x0=99.0, eta=0.0,
+                          theta_max=5.0)
+        ens = simulate(spec, 1.0, 0.1, 2, 4)
+        assert np.all(ens.theta_paths == 1.3)
 
     def test_adaptive_theta_direct_value(self):
-        got = adaptive_theta_update(1.0, 3.0, 0.0, 0.5, 1.0, 0.01, 10.0, 0.1)
-        assert got == pytest.approx(1.1)
+        # x moves to 3.0 - 1.0*3.0*0.1 = 2.7, then theta += 0.5*(2.7 - 1)*0.1.
+        spec = AdaptiveOU(theta0=1.0, mean=0.0, scale=0.0, x0=3.0, eta=0.5,
+                          band=1.0, theta_max=5.0)
+        ens = simulate(spec, 0.1, 0.1, 1, 4)
+        assert ens.theta_paths[0, 1] == pytest.approx(1.085)
 
     def test_adaptive_theta_clips(self):
-        got = adaptive_theta_update(10.0, 100.0, 0.0, 5.0, 0.0, 0.01, 10.0, 0.1)
-        assert got == 10.0
+        spec = AdaptiveOU(theta0=9.0, mean=0.0, scale=0.0, x0=100.0, eta=5.0,
+                          theta_max=9.5)
+        ens = simulate(spec, 0.2, 0.1, 1, 4)
+        assert np.all(ens.theta_paths[0, 1:] == 9.5)
 
 
 class TestSimulate:

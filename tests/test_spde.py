@@ -36,6 +36,11 @@ def test_grid_must_divide_length():
         simulate_heat_spde(sine_spec(), 0.3, 1e-4, 0.1, 0)
 
 
+def test_horizon_must_be_whole_steps():
+    with pytest.raises(GridError):
+        simulate_heat_spde(sine_spec(), 0.1, 0.001, 0.0105, 0)
+
+
 def test_bad_initial_profile_length():
     spec = SpdeSpec(kappa=0.1, sigma=0.0, length=1.0,
                     boundary=Dirichlet(0.0, 0.0), initial_profile=[0.0, 1.0])
