@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,20 +40,6 @@ from .processes import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
 from .spde import Dirichlet, Neumann, SpdeSpec, simulate_heat_spde
 from .svgplot import LineBundle, render_svg
 
-# (flag, default) per family; None means the flag is required.
-_FAMILY_FLAGS = {
-    "brownian": (("drift", 0.0), ("scale", 1.0), ("x0", 0.0)),
-    "gbm": (("mu", None), ("sigma", None), ("x0", 1.0)),
-    "levy": (("alpha", None), ("beta", None), ("scale", None), ("loc", 0.0),
-             ("x0", 0.0)),
-    "glevy": (("alpha", None), ("beta", None), ("scale", None), ("loc", 0.0),
-              ("x0", 1.0)),
-    "ou": (("theta", None), ("mean", None), ("scale", None), ("x0", None)),
-    "aou": (("theta0", None), ("mean", None), ("scale", None), ("x0", None),
-            ("eta", 0.0), ("band", 0.0), ("theta_min", 0.01), ("theta_max", 50.0)),
-    "poisson": (("rate", None), ("jump", 1.0), ("x0", 0.0)),
-}
-
 _FAMILY_TYPES = {
     "brownian": Brownian,
     "gbm": GeometricBrownian,
@@ -67,23 +54,26 @@ _FAMILY_TYPES = {
 def _spec_from_flags(family: str, args: argparse.Namespace):
     if family is None:
         raise DomainError("no input: pass --in FILE or a process family")
+    spec_type = _FAMILY_TYPES[family]
     kwargs = {}
-    for name, default in _FAMILY_FLAGS[family]:
-        value = getattr(args, name, None)
-        if value is None:
-            if default is None:
-                raise DomainError(
-                    f"--{name.replace('_', '-')} is required for family '{family}'")
-            value = default
-        kwargs[name] = value
-    return _FAMILY_TYPES[family](**kwargs)
+    for spec_field in fields(spec_type):  # unset flags keep the spec defaults
+        if getattr(args, spec_field.name) is not None:
+            kwargs[spec_field.name] = getattr(args, spec_field.name)
+        elif spec_field.default is MISSING:
+            raise DomainError(f"--{spec_field.name.replace('_', '-')} is "
+                              f"required for family '{family}'")
+    return spec_type(**kwargs)
 
 
-def _add_family_flags(parser: argparse.ArgumentParser, family: str) -> None:
-    for name, default in _FAMILY_FLAGS[family]:
-        helptext = "required" if default is None else f"default {default}"
-        parser.add_argument(f"--{name.replace('_', '-')}", type=float,
-                            default=None, help=helptext)
+def _add_spec_flags(parser: argparse.ArgumentParser, families,
+                    show_help: bool = True) -> None:
+    """One float flag per field of the families' spec types."""
+    flags = {f.name: f.default for family in families
+             for f in fields(_FAMILY_TYPES[family])}
+    for name, default in flags.items():
+        helptext = "required" if default is MISSING else f"default {default}"
+        parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None,
+                            help=helptext if show_help else argparse.SUPPRESS)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -125,6 +115,14 @@ _INITIAL_PROFILES = {
     "bump": lambda length: (
         lambda x: np.exp(-((x - 0.5 * length) / (0.1 * length)) ** 2)),
 }
+
+
+def _dispatch_targets() -> list[str]:
+    """The SIMD targets numpy was built for that this CPU enables; the last
+    bits of the transcendental kernels, and so the figure bytes, depend on
+    them."""
+    from numpy._core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
 
 
 def _sha256(path: Path) -> str:
@@ -228,11 +226,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
+    bundles = build_all(args.seed, workers=args.workers)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    bundles = build_all(args.seed, workers=args.workers)
     manifest_lines = [
         f"# stokit {__version__}",
+        f"# numpy {np.__version__}",
+        f"# dispatch {' '.join(_dispatch_targets()) or 'none'}",
         f"# command: stokit replicate --outdir {args.outdir} "
         f"--seed {args.seed} --workers {args.workers}",
     ]
@@ -265,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate an ensemble to CSV")
     fam_sub = p_sim.add_subparsers(dest="family", required=True)
-    for family in _FAMILY_FLAGS:
+    for family in _FAMILY_TYPES:
         p_fam = fam_sub.add_parser(family)
-        _add_family_flags(p_fam, family)
+        _add_spec_flags(p_fam, [family])
         _add_run_flags(p_fam)
         p_fam.add_argument("--out", required=True, help="output CSV path")
         p_fam.set_defaults(func=cmd_simulate, family=family)
@@ -275,13 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="ensemble diagnostics to CSV")
     p_diag.add_argument("--in", dest="infile", default=None,
                         help="ensemble CSV produced by 'simulate'")
-    p_diag.add_argument("--family", choices=sorted(_FAMILY_FLAGS), default=None,
+    p_diag.add_argument("--family", choices=sorted(_FAMILY_TYPES), default=None,
                         help="simulate inline instead of reading --in")
-    process_flags = {name for flags in _FAMILY_FLAGS.values()
-                     for name, _ in flags}
-    for name in sorted(process_flags):
-        p_diag.add_argument(f"--{name.replace('_', '-')}", type=float,
-                            default=None, help=argparse.SUPPRESS)
+    _add_spec_flags(p_diag, _FAMILY_TYPES, show_help=False)
     p_diag.add_argument("--t", type=float, default=None)
     p_diag.add_argument("--dt", type=float, default=None)
     p_diag.add_argument("--n", type=int, default=None)
@@ -319,10 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_spde.set_defaults(func=cmd_spde)
 
     p_evo = sub.add_parser("evolve", help="evolutionary leverage search")
-    p_evo.add_argument("--family", choices=("gbm", "glevy"), default="gbm")
-    for name in ("mu", "sigma", "alpha", "beta", "scale", "loc", "x0"):
-        p_evo.add_argument(f"--{name}", type=float, default=None,
-                           help=argparse.SUPPRESS)
+    evolve_families = ("gbm", "glevy")
+    p_evo.add_argument("--family", choices=evolve_families, default="gbm")
+    _add_spec_flags(p_evo, evolve_families, show_help=False)
     p_evo.add_argument("--agents", type=int, default=40)
     p_evo.add_argument("--generations", type=int, default=30)
     p_evo.add_argument("--mutation-sd", type=float, default=0.1)
@@ -350,6 +345,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise DomainError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except PositivityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,8 +52,8 @@ def ensemble_to_csv(ensemble: Ensemble) -> str:
 def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     """Parse the `time,inst_0,...` schema back into an Ensemble.
 
-    Every cell must be a finite number.  The returned ensemble carries no
-    spec/seed provenance.
+    Every cell must be a finite number; errors in a row name its file line as
+    ``source:LINE:``.  The returned ensemble carries no spec/seed provenance.
     """
     lines = text.splitlines()
     if not lines:
@@ -65,21 +65,31 @@ def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     for i, name in enumerate(header[1:]):
         if name != f"inst_{i}":
             raise SchemaError(f"{source}: unexpected column {name!r} at position {i + 1}")
-    rows = [line for line in lines[1:] if line]
+    # (file line number, line) of each data row; blank lines are skipped.
+    rows = [(number, line) for number, line in enumerate(lines[1:], start=2) if line]
     if len(rows) < 2:
         raise SchemaError(f"{source}: need at least 2 grid rows")
+    for number, line in rows:
+        if line.count(",") != len(header) - 1:
+            raise SchemaError(f"{source}:{number}: expected {len(header)} columns, "
+                              f"got {line.count(',') + 1}")
     try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt([line for _, line in rows], delimiter=",",
+                          comments=None, ndmin=2)
     except ValueError as exc:
+        for number, line in rows:
+            for name, cell in zip(header, line.split(",")):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise SchemaError(f"{source}:{number}: bad value {cell!r} "
+                                      f"in column {name!r}") from None
         raise SchemaError(f"{source}: {exc}") from None
-    if data.shape[1] != len(header):
-        raise SchemaError(
-            f"{source}: expected {len(header)} columns, got {data.shape[1]}")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]
-        raise SchemaError(f"{source}: non-finite value {data[row, col]} in "
-                          f"column {header[col]!r} of data row {row + 1}")
+        raise SchemaError(f"{source}:{rows[row][0]}: non-finite value "
+                          f"{data[row, col]} in column {header[col]!r}")
     times = data[:, 0]
     dts = np.diff(times)
     dt = float(dts[0])

@@ -3,7 +3,8 @@
 Each family is a small frozen dataclass validated at construction; `simulate`
 turns a spec into an `Ensemble` on a uniform grid.  Instance i of an ensemble
 is driven exclusively by ``substream(seed, i)``, so results are independent of
-worker count and evaluation order.
+worker count and evaluation order.  Each family has one kernel that builds a
+block of instances at once from the block stream of their ids.
 
 Discretization choices:
 
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError, SizeError, StabilityError
-from .rng import RngStream, sample_gaussian, sample_poisson_events, sample_stable, substream
+from .rng import (_BUDGET, RngStream, _poisson_slot_block, sample_gaussian,
+                  sample_stable, substream)
 
 
 @dataclass(frozen=True)
@@ -221,94 +223,81 @@ class Ensemble:
         return self.values.shape[0]
 
 
-# --- per-instance path builders ------------------------------------------
+# --- one kernel per family group, on a block stream (one row per instance) ---
 
-def _cumsum0(increments: np.ndarray) -> np.ndarray:
-    out = np.empty(increments.size + 1)
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
-    return out
-
-
-def _path_additive(spec: Brownian | LevyStable, grid: TimeGrid,
-                   stream: RngStream) -> np.ndarray:
+def _walk(spec: Brownian | GeometricBrownian | LevyStable | GeometricLevy,
+          grid: TimeGrid, stream: RngStream):
     n = grid.n_steps
     if isinstance(spec, Brownian):
         z = sample_gaussian(stream, n)
         drift, width = spec.drift, spec.scale * math.sqrt(grid.dt)
+    elif isinstance(spec, GeometricBrownian):
+        z = sample_gaussian(stream, n)
+        drift, width = spec.mu - 0.5 * spec.sigma ** 2, spec.sigma * math.sqrt(grid.dt)
     else:
         z = sample_stable(stream, spec.alpha, spec.beta, n)
         drift, width = spec.loc, spec.scale * grid.dt ** (1.0 / spec.alpha)
-    return spec.x0 + drift * grid.times + width * _cumsum0(z)
-
-
-def _path_multiplicative(spec: GeometricBrownian | GeometricLevy, grid: TimeGrid,
-                         stream: RngStream) -> np.ndarray:
-    n = grid.n_steps
-    if isinstance(spec, GeometricBrownian):
-        z = sample_gaussian(stream, n)
-        loc = spec.mu - 0.5 * spec.sigma ** 2
-        width = spec.sigma * math.sqrt(grid.dt)
-    else:
-        z = sample_stable(stream, spec.alpha, spec.beta, n)
-        loc = spec.loc
-        width = spec.scale * grid.dt ** (1.0 / spec.alpha)
-    exponent = loc * grid.times + width * _cumsum0(z)
+    walk = np.zeros((z.shape[0], n + 1))
+    np.cumsum(z, axis=1, out=walk[:, 1:])
+    line, noise = drift * grid.times, width * walk
+    if not spec.multiplicative:
+        return spec.x0 + line + noise, None
+    exponent = line + noise
     # Heavy-tailed jumps can push the exponent past what exp() represents;
     # clip keeps every value finite and strictly positive.
     np.clip(exponent, -700.0, 700.0, out=exponent)
-    return spec.x0 * np.exp(exponent)
+    return spec.x0 * np.exp(exponent), None
 
 
-def _path_ou_core(x0: float, theta0: float, mean: float, scale: float,
-                  dt: float, z: np.ndarray, eta: float, band: float,
-                  theta_min: float, theta_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shared loop for fixed and adaptive mean reversion: with eta = 0 the
-    theta path stays at theta0, so a fixed-rate run is bit-identical to an
-    adaptive run with zero gain."""
-    n = z.size
-    xs = np.empty(n + 1)
-    thetas = np.empty(n + 1)
-    x, theta = x0, theta0
-    xs[0] = x
-    thetas[0] = theta
-    width = scale * math.sqrt(dt)
-    for k in range(n):
-        x = x + theta * (mean - x) * dt + width * z[k]
-        proposal = theta + eta * (abs(x - mean) - band) * dt
-        theta = min(max(proposal, theta_min), theta_max)
-        xs[k + 1] = x
-        thetas[k + 1] = theta
-    return xs, thetas
-
-
-def _path_poisson(spec: Poisson, grid: TimeGrid, stream: RngStream) -> np.ndarray:
-    events = sample_poisson_events(stream, spec.rate, grid.horizon) \
-        if spec.rate > 0.0 else np.empty(0)
-    counts = np.searchsorted(events, grid.times, side="right")
-    return spec.x0 + spec.jump * counts
-
-
-def _simulate_instance(spec: ProcessSpec, grid: TimeGrid,
-                       stream: RngStream) -> tuple[np.ndarray, np.ndarray | None]:
-    if isinstance(spec, (Brownian, LevyStable)):
-        return _path_additive(spec, grid, stream), None
-    if isinstance(spec, (GeometricBrownian, GeometricLevy)):
-        return _path_multiplicative(spec, grid, stream), None
+def _mean_reverting(spec: OrnsteinUhlenbeck | AdaptiveOU, grid: TimeGrid,
+                    stream: RngStream):
+    """One time loop for fixed and adaptive mean reversion, vectorized over
+    rows: with eta = 0 theta stays at theta0, so a fixed-rate run is
+    bit-identical to an adaptive run with zero gain."""
     if isinstance(spec, OrnsteinUhlenbeck):
-        z = sample_gaussian(stream, grid.n_steps)
-        xs, _ = _path_ou_core(spec.x0, spec.theta, spec.mean, spec.scale,
-                              grid.dt, z, 0.0, 0.0, spec.theta, spec.theta)
-        return xs, None
-    if isinstance(spec, AdaptiveOU):
-        z = sample_gaussian(stream, grid.n_steps)
-        xs, thetas = _path_ou_core(spec.x0, spec.theta0, spec.mean, spec.scale,
-                                   grid.dt, z, spec.eta, spec.band,
-                                   spec.theta_min, spec.theta_max)
-        return xs, thetas
-    if isinstance(spec, Poisson):
-        return _path_poisson(spec, grid, stream), None
-    raise DomainError(f"unknown process spec {type(spec).__name__}")
+        theta0, eta, band, lo, hi = spec.theta, 0.0, 0.0, spec.theta, spec.theta
+    else:
+        theta0, eta, band = spec.theta0, spec.eta, spec.band
+        lo, hi = spec.theta_min, spec.theta_max
+    n, dt, mean = grid.n_steps, grid.dt, spec.mean
+    z = np.ascontiguousarray(sample_gaussian(stream, n).T)  # steps x rows
+    noise = spec.scale * math.sqrt(dt) * z
+    xs = np.empty((n + 1, noise.shape[1]))
+    thetas = np.empty_like(xs)
+    xs[0] = spec.x0
+    thetas[0] = theta0
+    for k in range(n):
+        x, theta = xs[k], thetas[k]
+        xs[k + 1] = x = x + theta * (mean - x) * dt + noise[k]
+        proposal = theta + eta * (np.abs(x - mean) - band) * dt
+        thetas[k + 1] = np.minimum(np.maximum(proposal, lo), hi)
+    return xs.T, (thetas.T if isinstance(spec, AdaptiveOU) else None)
+
+
+def _poisson(spec: Poisson, grid: TimeGrid, stream: RngStream):
+    """Each live row draws the slot blocks `sample_poisson_events` draws on
+    its own stream; every arrival within the horizon is counted from the
+    first grid time at or after it."""
+    times, horizon = grid.times, grid.horizon
+    hits = np.zeros((stream.stream_id.size, times.size), dtype=np.int64)
+    if spec.rate > 0.0:
+        block = _poisson_slot_block(spec.rate, horizon)
+        live = np.arange(hits.shape[0])
+        elapsed = np.zeros(live.size)
+        while live.size:
+            gaps = -np.log(stream.uniforms(block)) / spec.rate
+            arrival = elapsed[:, None] + np.cumsum(gaps, axis=1)
+            row, col = np.nonzero(arrival <= horizon)
+            np.add.at(hits, (live[row], np.searchsorted(times, arrival[row, col])), 1)
+            more = arrival[:, -1] <= horizon  # no overshoot yet: draw again
+            live, elapsed = live[more], arrival[more, -1]
+            stream = RngStream(stream.seed, stream.stream_id[more], stream.counter)
+    return spec.x0 + spec.jump * np.cumsum(hits, axis=1), None
+
+
+_KERNELS = (((Brownian, GeometricBrownian, LevyStable, GeometricLevy), _walk),
+            ((OrnsteinUhlenbeck, AdaptiveOU), _mean_reverting),
+            (Poisson, _poisson))
 
 
 def _check_scheme(spec: ProcessSpec, dt: float) -> None:
@@ -324,29 +313,38 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
              seed: int, workers: int = 1) -> Ensemble:
     """Simulate an ensemble of independent trajectories.
 
-    Instance i draws only from ``substream(seed, i)``; with any ``workers``
-    count the result is byte-identical to the single-threaded run.
+    Instance i draws only from ``substream(seed, i)``.  Instances run in row
+    blocks of about ``_BUDGET`` draws, each drawn from the block stream of
+    its instance ids; ``workers`` threads map the blocks (the calling thread
+    runs them when ``workers`` is 1), and with any count the result is
+    byte-identical to the single-threaded run.
     """
     if num_instances < 1:
         raise SizeError(f"num_instances must be >= 1, got {num_instances}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     grid = TimeGrid.from_horizon(horizon, dt)
     _check_scheme(spec, grid.dt)
+    kernel = next((k for types, k in _KERNELS if isinstance(spec, types)), None)
+    if kernel is None:
+        raise DomainError(f"unknown process spec {type(spec).__name__}")
     values = np.empty((num_instances, grid.n_steps + 1))
-    track_theta = isinstance(spec, AdaptiveOU)
-    thetas = np.empty_like(values) if track_theta else None
+    thetas = np.empty_like(values) if isinstance(spec, AdaptiveOU) else None
+    rows = max(1, _BUDGET // grid.n_steps)
+    starts = range(0, num_instances, rows)
 
-    def run_block(indices: range) -> None:
-        for i in indices:
-            path, theta_path = _simulate_instance(spec, grid, substream(seed, i))
-            values[i] = path
-            if track_theta:
-                thetas[i] = theta_path
+    def run_block(start: int) -> None:
+        block = slice(start, min(start + rows, num_instances))
+        ids = np.arange(block.start, block.stop)
+        values[block], theta_paths = kernel(spec, grid, substream(seed, ids))
+        if thetas is not None:
+            thetas[block] = theta_paths
 
-    if workers <= 1 or num_instances == 1:
-        run_block(range(num_instances))
+    if workers == 1 or len(starts) == 1:
+        for start in starts:
+            run_block(start)
     else:
-        blocks = [range(start, num_instances, workers) for start in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, blocks))
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            list(pool.map(run_block, starts))
     return Ensemble(grid=grid, values=values, spec=spec, seed=seed,
                     theta_paths=thetas)

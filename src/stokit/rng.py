@@ -6,6 +6,11 @@ predecessors and any parallel schedule sees the same values.  The mix is the
 SplitMix64 finalizer (Stafford variant 13) applied to a per-stream base offset
 plus counter * golden-gamma.
 
+A stream id may also be an array of ids: the stream is then a block of
+streams that share one counter, and every draw gains a leading row axis whose
+row r is bit-identical to the same draw on the scalar stream ``ids[r]``.
+Simulators draw a whole block of instances (or SPDE steps) at once this way.
+
 Conventions, fixed for reproducibility:
 
 * uniforms are ``((word >> 11) + 0.5) * 2**-53`` -- open interval (0, 1);
@@ -15,7 +20,7 @@ Conventions, fixed for reproducibility:
   including the final draw that overshoots the horizon.
 
 Streams are cheap value objects.  A single instance must not be shared by
-concurrent callers; derive one substream per worker instead.
+concurrent callers.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _U64 = np.uint64
+# Draws per block of streams; simulators size their row blocks to it.
+_BUDGET = 1 << 16
 _GOLDEN_U = _U64(_GOLDEN)
 _MIX_A_U = _U64(_MIX_A)
 _MIX_B_U = _U64(_MIX_B)
@@ -70,7 +77,8 @@ def derive_seed(seed: int, *salts: int) -> int:
 
 
 class RngStream:
-    """One deterministic stream, identified by (seed, stream_id).
+    """One deterministic stream, identified by (seed, stream_id), or a block
+    of streams sharing one counter when ``stream_id`` is an integer array.
 
     ``counter`` is the index of the next raw word; samplers advance it.
     Re-creating the stream replays the identical sequence.
@@ -78,15 +86,17 @@ class RngStream:
 
     __slots__ = ("seed", "stream_id", "counter", "_base")
 
-    def __init__(self, seed: int, stream_id: int, counter: int = 0):
+    def __init__(self, seed: int, stream_id, counter: int = 0):
         self.seed = _check_u64(seed, "seed")
-        self.stream_id = _check_u64(stream_id, "stream_id")
         self.counter = _check_u64(counter, "counter")
-        base = _mix64(self.seed + _GOLDEN)
-        self._base = _mix64(base ^ ((self.stream_id + _GOLDEN) & _MASK64))
-
-    def copy(self) -> "RngStream":
-        return RngStream(self.seed, self.stream_id, self.counter)
+        ids = np.asarray(stream_id)
+        if ids.dtype.kind not in "iu" or ids.ndim > 1 or (ids.size and ids.min() < 0):
+            raise DomainError("stream_id must be a 64-bit unsigned integer or a "
+                              f"1-D array of them, got {stream_id!r}")
+        self.stream_id = ids if ids.ndim else int(ids)
+        base = _U64(_mix64(self.seed + _GOLDEN))
+        self._base = _mix64_array(
+            base ^ (np.atleast_1d(ids).astype(np.uint64) + _GOLDEN_U)).reshape(ids.shape)
 
     def __repr__(self) -> str:
         return (f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "
@@ -96,7 +106,7 @@ class RngStream:
         """Next n raw 64-bit words; advances the counter by n."""
         ctr = np.arange(self.counter, self.counter + n, dtype=np.uint64)
         self.counter += n
-        return _mix64_array(_U64(self._base) + ctr * _GOLDEN_U)
+        return _mix64_array(self._base[..., None] + ctr * _GOLDEN_U)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms on the open interval (0, 1); one counter slot each."""
@@ -106,15 +116,16 @@ class RngStream:
         return ((w >> _U64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def substream(seed: int, stream_id: int) -> RngStream:
-    """Stream at counter 0; a pure function of (seed, stream_id)."""
+def substream(seed: int, stream_id) -> RngStream:
+    """Stream at counter 0; a pure function of (seed, stream_id).  An array
+    of ids gives the block of those streams."""
     return RngStream(seed, stream_id)
 
 
 def sample_gaussian(stream: RngStream, n: int) -> np.ndarray:
     """n independent standard-normal variates (Box-Muller, cosine branch)."""
     u = stream.uniforms(2 * _checked_count(n))
-    return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+    return np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
 
 
 def sample_stable(stream: RngStream, alpha: float, beta: float, n: int) -> np.ndarray:
@@ -130,8 +141,8 @@ def sample_stable(stream: RngStream, alpha: float, beta: float, n: int) -> np.nd
     if not -1.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [-1, 1], got {beta}")
     u = stream.uniforms(2 * _checked_count(n))
-    angle = np.pi * (u[0::2] - 0.5)          # uniform on (-pi/2, pi/2)
-    expo = -np.log(u[1::2])                  # exponential(1)
+    angle = np.pi * (u[..., 0::2] - 0.5)     # uniform on (-pi/2, pi/2)
+    expo = -np.log(u[..., 1::2])             # exponential(1)
     if alpha == 1.0:
         half_pi = 0.5 * np.pi
         t1 = (half_pi + beta * angle) * np.tan(angle)
@@ -149,7 +160,10 @@ def sample_stable(stream: RngStream, alpha: float, beta: float, n: int) -> np.nd
 
 
 def sample_poisson_events(stream: RngStream, rate: float, horizon: float) -> np.ndarray:
-    """Sorted event times in (0, horizon] with exponential inter-arrivals."""
+    """Sorted event times in (0, horizon] with exponential inter-arrivals,
+    on a single stream."""
+    if np.ndim(stream.stream_id):
+        raise DomainError("Poisson events need a single stream, not a block")
     if rate < 0.0:
         raise DomainError(f"rate must be >= 0, got {rate}")
     if horizon <= 0.0:
@@ -158,8 +172,7 @@ def sample_poisson_events(stream: RngStream, rate: float, horizon: float) -> np.
         return np.empty(0, dtype=np.float64)
     times: list[np.ndarray] = []
     elapsed = 0.0
-    # Expected count is rate * horizon; draw in blocks until we overshoot.
-    block = max(16, int(rate * horizon * 1.5) + 1)
+    block = _poisson_slot_block(rate, horizon)
     while True:
         gaps = -np.log(stream.uniforms(block)) / rate
         arrival = elapsed + np.cumsum(gaps)
@@ -172,6 +185,11 @@ def sample_poisson_events(stream: RngStream, rate: float, horizon: float) -> np.
         times.append(arrival)
         elapsed = float(arrival[-1])
     return np.concatenate(times) if len(times) > 1 else times[0]
+
+
+def _poisson_slot_block(rate: float, horizon: float) -> int:
+    """Slots per round of Poisson draws: 1.5 times the expected count."""
+    return max(16, int(rate * horizon * 1.5) + 1)
 
 
 def _checked_count(n: int) -> int:

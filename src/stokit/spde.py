@@ -6,7 +6,9 @@ node per step.  Stability requires kappa * dt / dx**2 <= 1/2.
 
 Noise layout is deterministic: step k draws its interior-node variates from
 ``substream(seed, k)`` in node order, so spatial updates can be parallelized
-without changing results, and sigma = 0 runs never touch the generator.
+without changing results, and sigma = 0 runs never touch the generator.  The
+noise of a block of steps is drawn at once from the block stream of their
+step indices.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, GridError, SizeError, StabilityError
 from .processes import TimeGrid
-from .rng import sample_gaussian, substream
+from .rng import _BUDGET, sample_gaussian, substream
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,17 @@ def simulate_heat_spde(spec: SpdeSpec, dx: float, dt: float, horizon: float,
         u[0, -1] = spec.boundary.right
 
     noise_width = spec.sigma * math.sqrt(dt / dx)
+    steps_per_block = max(1, _BUDGET // (n_x - 1))
     for k in range(grid.n_steps):
         prev = u[k]
         nxt = u[k + 1]
         nxt[1:-1] = prev[1:-1] + ratio * (prev[2:] - 2.0 * prev[1:-1] + prev[:-2])
         if noise_width > 0.0:
-            z = sample_gaussian(substream(seed, k), n_x - 1)
-            nxt[1:-1] += noise_width * z
+            row = k % steps_per_block
+            if row == 0:
+                steps = np.arange(k, min(k + steps_per_block, grid.n_steps))
+                noise = noise_width * sample_gaussian(substream(seed, steps), n_x - 1)
+            nxt[1:-1] += noise[row]
         if dirichlet:
             nxt[0] = spec.boundary.left
             nxt[-1] = spec.boundary.right

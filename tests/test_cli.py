@@ -5,7 +5,7 @@ import pytest
 
 from stokit import (GeometricBrownian, OrnsteinUhlenbeck, growth_rates,
                     quantile_fan, simulate, summary_curves)
-from stokit.cli import main
+from stokit.cli import _dispatch_targets, main
 from stokit.csvio import read_ensemble_csv
 
 
@@ -245,6 +245,14 @@ class TestReplicateCommand:
             name, digest = line.split("\t")
             assert digest == sha256(outdir / name)
 
+    def test_manifest_names_environment(self, tmp_path):
+        outdir = tmp_path / "figs"
+        assert run(["replicate", "--outdir", outdir, "--seed", 1]) == 0
+        comments = [line for line in (outdir / "manifest.txt").read_text().splitlines()
+                    if line.startswith("#")]
+        assert f"# numpy {np.__version__}" in comments
+        assert f"# dispatch {' '.join(_dispatch_targets()) or 'none'}" in comments
+
     def test_round_trip_parses_as_ensemble(self, tmp_path):
         out = tmp_path / "e.csv"
         run(["simulate", "ou", "--theta", 1, "--mean", 0, "--scale", 0.5,
@@ -253,3 +261,17 @@ class TestReplicateCommand:
         ens = read_ensemble_csv(out)
         direct = simulate(OrnsteinUhlenbeck(1.0, 0.0, 0.5, 1.0), 1.0, 0.1, 3, 2)
         np.testing.assert_array_equal(ens.values, direct.values)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "brownian", "--t", 1, "--dt", 0.1, "--n", 2, "--out", "{tmp}/x.csv"],
+    ["diagnose", "--family", "brownian", "--t", 1, "--dt", 0.1, "--n", 2,
+     "--growth", "--out-prefix", "{tmp}/x"],
+    ["replicate", "--outdir", "{tmp}/figs"],
+])
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_exit_2(tmp_path, capsys, argv, workers):
+    argv = [str(a).format(tmp=tmp_path) for a in argv] + ["--workers", workers]
+    assert run(argv) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # nothing written

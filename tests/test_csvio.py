@@ -68,3 +68,17 @@ def test_ensemble_round_trip_is_exact():
 def test_schema_violations(text):
     with pytest.raises(SchemaError):
         parse_ensemble_csv(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("time,inst_0\n0,1\n\n1,2\n2,x\n", "src.csv:5: bad value 'x' in column 'inst_0'"),
+    ("time,inst_0\n0,1\n\n1,2,3\n", "src.csv:4: expected 2 columns, got 3"),
+    ("time,inst_0,inst_1\n\n0,1,2\n1,2\n", "src.csv:4: expected 3 columns, got 2"),
+    ("time,inst_0\n0,1\n\nnan,2\n", "src.csv:4: non-finite value nan in column 'time'"),
+    ("time,inst_0\n\n0,1\n1,2\n\n2,-inf\n",
+     "src.csv:6: non-finite value -inf in column 'inst_0'"),
+])
+def test_errors_name_the_file_line(text, message):
+    with pytest.raises(SchemaError) as info:
+        parse_ensemble_csv(text, source="src.csv")
+    assert str(info.value) == message

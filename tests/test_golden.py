@@ -4,10 +4,11 @@ Two tiers:
 
 * The RNG core (seed derivation, raw words, uniforms) uses only integer and
   exactly rounded float operations, so its digests hold on every platform.
-* The ``replicate --seed 12345`` outputs go through transcendental numpy
-  kernels whose last bits depend on the numpy build and on its SIMD dispatch
-  target.  Their digests are checked only where both match the recorded
-  environment; elsewhere the test is skipped with the reason.
+* The ``replicate --seed 12345`` outputs and a small evolve history go
+  through transcendental numpy kernels whose last bits depend on the numpy
+  build and on its SIMD dispatch target.  Their digests are checked only
+  where both match the recorded environment; elsewhere the tests are skipped
+  with the reason.
 
 A change that moves any of these bits must say so and re-pin them.
 """
@@ -17,7 +18,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from stokit.cli import main
+from stokit import GeometricBrownian, PoolConfig, evolutionary_optimize
+from stokit.cli import _dispatch_targets, main
 from stokit.rng import RngStream, derive_seed
 
 PAIRS = [(0, 0), (12345, 0), (12345, 7), (2**64 - 1, 3),
@@ -65,19 +67,29 @@ REPLICATE_DIGESTS = {
 }
 
 
-def _dispatch_targets() -> list[str]:
-    """The SIMD targets numpy was built for that this CPU enables."""
-    from numpy._core import _multiarray_umath as umath
-    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
-
-
-def test_replicate_digests(tmp_path):
+def _require_recorded_environment():
     environment = (np.__version__, _dispatch_targets())
     if environment != (RECORDED_NUMPY, RECORDED_DISPATCH):
         pytest.skip(f"digests recorded with numpy {RECORDED_NUMPY} dispatching "
                     f"to {RECORDED_DISPATCH}; running numpy {environment[0]} "
                     f"dispatching to {environment[1]}")
+
+
+def test_replicate_digests(tmp_path):
+    _require_recorded_environment()
     assert main(["replicate", "--outdir", str(tmp_path), "--seed", "12345"]) == 0
     lines = (tmp_path / "manifest.txt").read_text().splitlines()
     got = dict(line.split("\t") for line in lines if not line.startswith("#"))
     assert got == REPLICATE_DIGESTS
+
+
+def test_evolve_history_digest():
+    _require_recorded_environment()
+    config = PoolConfig(n_agents=10, generations=4, mutation_sd=0.1,
+                        survivor_share=0.25, horizon=20.0, dt=0.01,
+                        paths_per_eval=30, f_min=0.0, f_max=3.0, seed=12345)
+    best, history = evolutionary_optimize(config, GeometricBrownian(mu=0.05, sigma=0.2))
+    # The final best fraction, then (best fraction, best fitness) per generation.
+    record = np.array([best, *np.ravel(history)])
+    assert _digest([record.astype("<f8").tobytes()]) == \
+        "6acd694969ac9c2766a2acc16296e9ec6b6d03e9983c1c86bfa28e356abbb7a3"

@@ -6,7 +6,10 @@ import pytest
 from stokit import (AdaptiveOU, Brownian, DomainError, GeometricBrownian,
                     GeometricLevy, LevyStable, OrnsteinUhlenbeck, Poisson,
                     GridError, SizeError, StabilityError, TimeGrid,
-                    sample_gaussian, simulate, substream)
+                    sample_gaussian, sample_poisson_events, sample_stable,
+                    simulate, substream)
+from stokit import processes
+from stokit.processes import _BUDGET
 
 
 class TestSpecs:
@@ -193,3 +196,113 @@ class TestSimulate:
         ens = simulate(Brownian(), 1.0, 0.1, 2, 1)
         with pytest.raises(ValueError):
             ens.values[0, 0] = 99.0
+
+
+def _reference_row(spec, grid, stream):
+    """One instance built from the public per-instance samplers, step by
+    step where the scheme is a recursion: (path, theta path or None)."""
+    n, dt, times = grid.n_steps, grid.dt, grid.times
+    if isinstance(spec, Poisson):
+        events = sample_poisson_events(stream, spec.rate, grid.horizon)
+        return spec.x0 + spec.jump * np.searchsorted(events, times, side="right"), None
+    if isinstance(spec, (OrnsteinUhlenbeck, AdaptiveOU)):
+        fixed = isinstance(spec, OrnsteinUhlenbeck)
+        theta = spec.theta if fixed else spec.theta0
+        eta, band = (0.0, 0.0) if fixed else (spec.eta, spec.band)
+        lo, hi = (theta, theta) if fixed else (spec.theta_min, spec.theta_max)
+        width = spec.scale * math.sqrt(dt)
+        x, xs, thetas = spec.x0, [spec.x0], [theta]
+        for z in sample_gaussian(stream, n):
+            x = x + theta * (spec.mean - x) * dt + width * z
+            theta = min(max(theta + eta * (abs(x - spec.mean) - band) * dt, lo), hi)
+            xs.append(x)
+            thetas.append(theta)
+        return np.array(xs), (None if fixed else np.array(thetas))
+    if isinstance(spec, (Brownian, GeometricBrownian)):
+        z = sample_gaussian(stream, n)
+    else:
+        z = sample_stable(stream, spec.alpha, spec.beta, n)
+    walk = np.concatenate([[0.0], np.cumsum(z)])
+    if isinstance(spec, Brownian):
+        return spec.x0 + spec.drift * times + spec.scale * math.sqrt(dt) * walk, None
+    if isinstance(spec, GeometricBrownian):
+        loc, width = spec.mu - 0.5 * spec.sigma ** 2, spec.sigma * math.sqrt(dt)
+    else:
+        loc, width = spec.loc, spec.scale * dt ** (1.0 / spec.alpha)
+    if isinstance(spec, LevyStable):
+        return spec.x0 + loc * times + width * walk, None
+    return spec.x0 * np.exp(np.clip(loc * times + width * walk, -700.0, 700.0)), None
+
+
+# (spec, horizon, dt, instances): every case spans at least three row blocks.
+KERNEL_CASES = {
+    "brownian": (Brownian(drift=0.1, scale=1.3, x0=0.5), 20.0, 0.001, 7),
+    "gbm": (GeometricBrownian(mu=0.05, sigma=0.2, x0=2.0), 20.0, 0.001, 7),
+    "levy_1.7": (LevyStable(alpha=1.7, beta=0.0, scale=0.5, x0=1.0), 20.0, 0.001, 7),
+    "levy_1_skewed": (LevyStable(alpha=1.0, beta=0.5, scale=0.5), 20.0, 0.001, 7),
+    "glevy": (GeometricLevy(alpha=1.55, beta=0.2, scale=0.35, loc=0.02), 20.0, 0.001, 7),
+    "ou": (OrnsteinUhlenbeck(theta=2.0, mean=0.3, scale=0.5, x0=1.0), 20.0, 0.001, 7),
+    "aou": (AdaptiveOU(theta0=1.0, mean=0.0, scale=0.5, x0=2.0, eta=2.0, band=0.5,
+                       theta_min=0.1, theta_max=10.0), 20.0, 0.001, 7),
+    "poisson_rate_0": (Poisson(rate=0.0, x0=1.0), 1.0, 0.001, 200),
+    "poisson_rate_100": (Poisson(rate=100.0, jump=0.5), 0.1, 0.001, 2000),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+@pytest.mark.parametrize("workers", [1, 3])
+def test_kernel_matches_per_instance_reference(name, workers):
+    spec, horizon, dt, n = KERNEL_CASES[name]
+    grid = TimeGrid.from_horizon(horizon, dt)
+    assert n > 2 * max(1, _BUDGET // grid.n_steps)  # at least three row blocks
+    ens = simulate(spec, horizon, dt, n, 2024, workers=workers)
+    for i in range(n):
+        path, theta_path = _reference_row(spec, grid, substream(2024, i))
+        assert ens.values[i].tobytes() == path.tobytes(), f"instance {i}"
+        if theta_path is not None:
+            assert ens.theta_paths[i].tobytes() == theta_path.tobytes(), f"theta {i}"
+
+
+def test_poisson_case_needs_second_slot_block():
+    # At rate 100 and horizon 0.1 a row overshoots within its first slot
+    # block only if it draws fewer than 16 events in the horizon.
+    spec, horizon, dt, n = KERNEL_CASES["poisson_rate_100"]
+    ens = simulate(spec, horizon, dt, n, 2024)
+    events = ens.values[:, -1] / spec.jump
+    assert 0 < np.count_nonzero(events >= 16) < n // 10
+
+
+class _PoolRecorder:
+    """Stands in for ThreadPoolExecutor and records the thread count."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+class TestWorkers:
+    def test_rejects_fewer_than_one(self):
+        for workers in (0, -2):
+            with pytest.raises(DomainError):
+                simulate(Brownian(), 1.0, 0.1, 2, 1, workers=workers)
+
+    def test_threads_capped_at_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(_PoolRecorder, "sizes", [])
+        monkeypatch.setattr(processes, "ThreadPoolExecutor", _PoolRecorder)
+        spec = Brownian(0.1, 1.0)
+        serial = simulate(spec, 1.0, 0.1, 2, 5)
+        assert _PoolRecorder.sizes == []  # one worker: the calling thread
+        monkeypatch.setattr(processes, "_BUDGET", 10)  # one row per block
+        threaded = simulate(spec, 1.0, 0.1, 2, 5, workers=6)
+        assert _PoolRecorder.sizes == [2]
+        np.testing.assert_array_equal(serial.values, threaded.values)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from stokit import (DomainError, sample_gaussian, sample_poisson_events,
@@ -31,6 +33,26 @@ def test_batching_invariance():
     s2 = substream(9, 3)
     split = np.concatenate([sample_gaussian(s2, 4), sample_gaussian(s2, 6)])
     np.testing.assert_array_equal(whole, split)
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+       st.integers(0, 20))
+def test_block_rows_match_scalar_streams(seed, ids, n):
+    block = substream(seed, np.array(ids, dtype=np.uint64))
+    rows = sample_gaussian(block, n)
+    assert rows.shape == (len(ids), n)
+    assert block.counter == 2 * n
+    for r, stream_id in enumerate(ids):
+        scalar = substream(seed, stream_id)
+        assert rows[r].tobytes() == sample_gaussian(scalar, n).tobytes()
+        assert scalar.counter == 2 * n
+
+
+def test_block_stream_ids_validated():
+    for ids in ([-1, 2], [0.5, 1.0], [[0, 1]]):
+        with pytest.raises(DomainError):
+            substream(3, np.array(ids))
 
 
 def test_uniforms_open_interval():
@@ -117,6 +139,11 @@ def test_poisson_rejects_bad_params():
         sample_poisson_events(substream(1, 0), -1.0, 10.0)
     with pytest.raises(DomainError):
         sample_poisson_events(substream(1, 0), 1.0, 0.0)
+
+
+def test_poisson_rejects_block_stream():
+    with pytest.raises(DomainError):
+        sample_poisson_events(substream(1, np.arange(3)), 1.0, 10.0)
 
 
 def test_poisson_consumption_replays():
