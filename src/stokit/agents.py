@@ -20,11 +20,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .processes import ProcessSpec, TimeGrid, simulate
+from .processes import ProcessSpec, simulate
 from .rng import derive_seed, sample_gaussian, substream
 
 WEALTH_FLOOR = 1e-12
 _LOG_FLOOR = math.log(WEALTH_FLOOR)
+_TINY = np.nextafter(0.0, 1.0)  # smallest subnormal; log is -744.4
 
 _PATH_SALT = 0x70617468
 _MUTATION_SALT = 0x6D757461
@@ -47,22 +48,37 @@ class GenerationStat(NamedTuple):
 def growth_from_factors(fraction: float, factors: np.ndarray, dt: float
                         ) -> GrowthEval:
     """Time-average log growth of leveraged wealth given per-step gross
-    factors of the risky process (paths x steps)."""
+    factors of the risky process (paths x steps), with wealth floored at
+    WEALTH_FLOOR; a zero or negative mix ``1 - f + f * r`` ruins the step.
+    The floored log walk is Lindley's reflected walk over the unfloored sum S:
+    it is floored where S drops below the floor and every earlier S, and ends
+    at the floor plus its rise after its lowest S if that is below the floor."""
     horizon = factors.shape[1] * dt
-    mix = 1.0 - fraction + fraction * factors
-    if np.all(mix > 0.0):
-        log_wealth = np.cumsum(np.log(mix), axis=1)
-        if log_wealth.min() > _LOG_FLOOR:
-            return GrowthEval(float(log_wealth[:, -1].mean() / horizon), 0)
-    # Ruin territory: walk the paths with the floor applied per step.
-    wealth = np.ones(factors.shape[0])
-    ruins = 0
-    for k in range(factors.shape[1]):
-        wealth *= np.maximum(mix[:, k], 0.0)
-        floored = wealth < WEALTH_FLOOR
-        ruins += int(np.count_nonzero(floored))
-        wealth[floored] = WEALTH_FLOOR
-    return GrowthEval(float(np.log(wealth).mean() / horizon), ruins)
+    log_mix = fraction * factors + (1.0 - fraction)
+    np.log(np.maximum(log_mix, _TINY, out=log_mix), out=log_mix)
+    log_wealth = np.cumsum(log_mix, axis=1)
+    if log_wealth.min() >= _LOG_FLOOR:
+        return GrowthEval(float(log_wealth[:, -1].mean() / horizon), 0)
+    lowest = log_wealth.argmin(axis=1)
+    low = np.minimum(log_wealth, _LOG_FLOOR, out=log_wealth)  # in the cumsum buffer
+    np.minimum.accumulate(low, axis=1, out=low)
+    ruins = (np.count_nonzero(low[:, 0] < _LOG_FLOOR)
+             + np.count_nonzero(low[:, 1:] < low[:, :-1]))
+    # Summed, unlike S_n - min S, the rise keeps its rounding free of |S|.
+    floored = low[:, -1:] < _LOG_FLOOR
+    log_mix[floored & (np.arange(log_mix.shape[1]) <= lowest[:, None])] = 0.0
+    final = log_mix.sum(axis=1) + np.where(floored[:, 0], _LOG_FLOOR, 0.0)
+    return GrowthEval(float(final.mean() / horizon), int(ruins))
+
+
+def _factors(spec: ProcessSpec, horizon: float, dt: float, n_paths: int,
+             seed: int) -> np.ndarray:
+    """Per-step gross factors of a simulated multiplicative ensemble."""
+    if not spec.multiplicative:
+        raise DomainError(
+            f"{type(spec).__name__} is not a multiplicative process family")
+    values = simulate(spec, horizon, dt, n_paths, seed).values
+    return values[:, 1:] / values[:, :-1]
 
 
 def evaluate_growth(fraction: float, spec: ProcessSpec, horizon: float,
@@ -71,12 +87,8 @@ def evaluate_growth(fraction: float, spec: ProcessSpec, horizon: float,
 
     Deterministic in (seed, fraction).
     """
-    if not spec.multiplicative:
-        raise DomainError(
-            f"{type(spec).__name__} is not a multiplicative process family")
-    ensemble = simulate(spec, horizon, dt, paths_per_eval, seed)
-    factors = ensemble.values[:, 1:] / ensemble.values[:, :-1]
-    return growth_from_factors(fraction, factors, ensemble.grid.dt)
+    factors = _factors(spec, horizon, dt, paths_per_eval, seed)
+    return growth_from_factors(fraction, factors, dt)
 
 
 @dataclass(frozen=True)
@@ -104,16 +116,12 @@ class PoolConfig:
             raise DomainError(
                 f"survivor_share must lie in (0, 1), got {self.survivor_share}")
         if self.paths_per_eval < 1:
-            raise DomainError(
-                f"paths_per_eval must be >= 1, got {self.paths_per_eval}")
+            raise DomainError(f"paths_per_eval must be >= 1, got {self.paths_per_eval}")
         if self.f_min >= self.f_max:
-            raise DomainError(
-                f"f_min {self.f_min} must be below f_max {self.f_max}")
-        if self.initial_fraction is not None and not \
-                self.f_min <= self.initial_fraction <= self.f_max:
-            raise DomainError(
-                f"initial_fraction {self.initial_fraction} outside "
-                f"[{self.f_min}, {self.f_max}]")
+            raise DomainError(f"f_min {self.f_min} must be below f_max {self.f_max}")
+        f, lo, hi = self.initial_fraction, self.f_min, self.f_max
+        if f is not None and not lo <= f <= hi:
+            raise DomainError(f"initial_fraction {f} outside [{lo}, {hi}]")
 
 
 def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec
@@ -126,10 +134,6 @@ def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec
     the final generation and the per-generation (best fraction, best fitness)
     records.
     """
-    if not spec.multiplicative:
-        raise DomainError(
-            f"{type(spec).__name__} is not a multiplicative process family")
-    grid = TimeGrid.from_horizon(config.horizon, config.dt)
     n = config.n_agents
     n_survivors = min(max(1, int(math.ceil(config.survivor_share * n))), n - 1)
 
@@ -140,26 +144,21 @@ def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec
         fractions = config.f_min + (config.f_max - config.f_min) * init.uniforms(n)
 
     history: list[GenerationStat] = []
-    best_fraction = float(fractions[0])
     for generation in range(config.generations):
         path_seed = derive_seed(config.seed, _PATH_SALT, generation)
-        ensemble = simulate(spec, config.horizon, config.dt,
-                            config.paths_per_eval, path_seed)
-        factors = ensemble.values[:, 1:] / ensemble.values[:, :-1]
-        fitness = np.array([
-            growth_from_factors(f, factors, grid.dt).growth for f in fractions
-        ])
+        factors = _factors(spec, config.horizon, config.dt,
+                           config.paths_per_eval, path_seed)
+        fitness = np.array([growth_from_factors(f, factors, config.dt).growth
+                            for f in fractions])
         order = np.argsort(-fitness, kind="stable")
-        best_fraction = float(fractions[order[0]])
-        history.append(GenerationStat(best_fraction, float(fitness[order[0]])))
+        history.append(GenerationStat(float(fractions[order[0]]),
+                                      float(fitness[order[0]])))
         if generation == config.generations - 1:
             break
         survivors = fractions[order[:n_survivors]]
         mutator = substream(derive_seed(config.seed, _MUTATION_SALT, generation), 0)
         noise = config.mutation_sd * sample_gaussian(mutator, n - n_survivors)
-        children = np.array([
-            survivors[j % n_survivors] + noise[j] for j in range(n - n_survivors)
-        ])
+        children = survivors[np.arange(n - n_survivors) % n_survivors] + noise
         np.clip(children, config.f_min, config.f_max, out=children)
         fractions = np.concatenate([survivors, children])
-    return best_fraction, history
+    return history[-1].best_fraction, history

@@ -129,8 +129,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_svg(path: str, bundle, style: str = "lines") -> None:
-    Path(path).write_text(render_svg(bundle, style), encoding="utf-8")
+def _write_svg(path: str, bundle) -> None:
+    Path(path).write_text(render_svg(bundle), encoding="utf-8")
 
 
 # --- command handlers -----------------------------------------------------
@@ -203,7 +203,7 @@ def cmd_spde(args: argparse.Namespace) -> int:
     write_csv(f"{prefix}_field.csv", *field_table(field))
     write_csv(f"{prefix}_profiles.csv", *profile_table(field))
     if args.svg:
-        _write_svg(f"{prefix}_field.svg", heatmap_bundle(field), "heatmap")
+        _write_svg(f"{prefix}_field.svg", heatmap_bundle(field))
         _write_svg(f"{prefix}_profiles.svg", profile_bundle(field))
     return 0
 

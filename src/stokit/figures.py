@@ -24,7 +24,10 @@ from .spde import (Dirichlet, FieldSolution, SpdeSpec, extract_profiles,
 from .svgplot import HeatmapBundle, LineBundle, Series, render_panels
 
 FIG1_BROWNIAN = dict(drift=0.0, scale=1.0, t=3.0, dt=0.01, n=240)
-FIG1_GLEVY = dict(alpha=1.55, beta=0.2, scale=0.35, loc=0.02, t=4.0, dt=0.01, n=360)
+GLEVY = GeometricLevy(alpha=1.55, beta=0.2, scale=0.35, loc=0.02)  # fig1, fig2, fig4
+_GLEVY_NOTE = (f"glevy alpha={GLEVY.alpha} beta={GLEVY.beta} scale={GLEVY.scale} "
+               f"loc={GLEVY.loc}")
+FIG1_GLEVY = dict(t=4.0, dt=0.01, n=360)
 FIG3_PARAMS = dict(theta0=1.0, mean=0.0, scale=0.5, x0=2.0, eta=2.0, band=0.5,
                    theta_min=0.1, theta_max=10.0, t=10.0, dt=0.01)
 FIG4_PARAMS = dict(t=50.0, dt=0.01, tail_fraction=0.5, window=50)
@@ -121,22 +124,20 @@ def build_fig1(seed: int, workers: int = 1) -> FigureBundle:
     p, q = FIG1_BROWNIAN, FIG1_GLEVY
     bm = simulate(Brownian(drift=p["drift"], scale=p["scale"]),
                   p["t"], p["dt"], p["n"], derive_seed(seed, 1), workers=workers)
-    gl = simulate(GeometricLevy(alpha=q["alpha"], beta=q["beta"],
-                                scale=q["scale"], loc=q["loc"]),
-                  q["t"], q["dt"], q["n"], derive_seed(seed, 2), workers=workers)
+    gl = simulate(GLEVY, q["t"], q["dt"], q["n"], derive_seed(seed, 2),
+                  workers=workers)
     bm_fan = quantile_fan(bm)
     gl_fan = quantile_fan(gl)
     bm_header, bm_columns = fan_table(bm_fan, bm.grid.times, "bm_")
     gl_header, gl_columns = fan_table(gl_fan, gl.grid.times, "gl_")
     svg = render_panels([
-        (LineBundle("Brownian ensemble quantile fan", "time", "value",
-                    fan_series(bm_fan, bm.grid.times)), "lines"),
-        (LineBundle("Geometric Levy ensemble quantile fan", "time", "value",
-                    fan_series(gl_fan, gl.grid.times), log_y=True), "lines"),
+        LineBundle("Brownian ensemble quantile fan", "time", "value",
+                   fan_series(bm_fan, bm.grid.times)),
+        LineBundle("Geometric Levy ensemble quantile fan", "time", "value",
+                   fan_series(gl_fan, gl.grid.times), log_y=True),
     ])
     note = (f"fig1: brownian drift={p['drift']} scale={p['scale']} t={p['t']} "
-            f"dt={p['dt']} n={p['n']}; glevy alpha={q['alpha']} beta={q['beta']} "
-            f"scale={q['scale']} loc={q['loc']} t={q['t']} dt={q['dt']} n={q['n']}; "
+            f"dt={p['dt']} n={p['n']}; {_GLEVY_NOTE} t={q['t']} dt={q['dt']} n={q['n']}; "
             f"levels={','.join(str(v) for v in DEFAULT_FAN_LEVELS)}")
     return FigureBundle("fig1", render_csv(bm_header + gl_header,
                                            bm_columns + gl_columns), svg, note)
@@ -146,9 +147,8 @@ def build_fig2(seed: int, workers: int = 1) -> FigureBundle:
     """Trajectory intermittency and summary-statistic divergence for the
     heavy-tailed multiplicative ensemble."""
     q = FIG1_GLEVY
-    ens = simulate(GeometricLevy(alpha=q["alpha"], beta=q["beta"],
-                                 scale=q["scale"], loc=q["loc"]),
-                   q["t"], q["dt"], q["n"], derive_seed(seed, 3), workers=workers)
+    ens = simulate(GLEVY, q["t"], q["dt"], q["n"], derive_seed(seed, 3),
+                   workers=workers)
     summary = summary_curves(ens)
     times = ens.grid.times
     trajectories = ens.values[:_FIG2_TRAJECTORIES]
@@ -157,15 +157,14 @@ def build_fig2(seed: int, workers: int = 1) -> FigureBundle:
     header = header[:1] + names + header[1:]
     columns = columns[:1] + list(trajectories) + columns[1:]
     svg = render_panels([
-        (LineBundle("Geometric Levy sample trajectories", "time", "value",
-                    tuple(Series(name, times, path)
-                          for name, path in zip(names, trajectories)),
-                    log_y=True), "lines"),
-        (LineBundle("Ensemble summary divergence", "time", "value",
-                    summary_series(summary, times), log_y=True), "lines"),
+        LineBundle("Geometric Levy sample trajectories", "time", "value",
+                   tuple(Series(name, times, path)
+                         for name, path in zip(names, trajectories)),
+                   log_y=True),
+        LineBundle("Ensemble summary divergence", "time", "value",
+                   summary_series(summary, times), log_y=True),
     ])
-    note = (f"fig2: glevy alpha={q['alpha']} beta={q['beta']} scale={q['scale']} "
-            f"loc={q['loc']} t={q['t']} dt={q['dt']} n={q['n']}; "
+    note = (f"fig2: {_GLEVY_NOTE} t={q['t']} dt={q['dt']} n={q['n']}; "
             f"{_FIG2_TRAJECTORIES} trajectories shown")
     return FigureBundle("fig2", render_csv(header, columns), svg, note)
 
@@ -187,13 +186,12 @@ def build_fig3(seed: int) -> FigureBundle:
     header = ["time", "fixed_state", "adaptive_state", "adaptive_theta"]
     columns = [times, fixed.values[0], adaptive.values[0], theta_path]
     svg = render_panels([
-        (LineBundle("Fixed vs adaptive mean reversion", "time", "state",
-                    (Series("fixed rate", times, fixed.values[0]),
-                     Series("adaptive rate", times, adaptive.values[0]))), "lines"),
-        (LineBundle("Evolving reversion rate", "time", "theta",
-                    (Series("theta", times, theta_path),
-                     Series("fixed theta", times,
-                            np.full(times.size, p["theta0"])))), "lines"),
+        LineBundle("Fixed vs adaptive mean reversion", "time", "state",
+                   (Series("fixed rate", times, fixed.values[0]),
+                    Series("adaptive rate", times, adaptive.values[0]))),
+        LineBundle("Evolving reversion rate", "time", "theta",
+                   (Series("theta", times, theta_path),
+                    Series("fixed theta", times, np.full(times.size, p["theta0"])))),
     ])
     note = (f"fig3: ou/aou theta0={p['theta0']} mean={p['mean']} scale={p['scale']} "
             f"x0={p['x0']} eta={p['eta']} band={p['band']} "
@@ -204,10 +202,8 @@ def build_fig3(seed: int) -> FigureBundle:
 def build_fig4(seed: int) -> FigureBundle:
     """Preasymptotic diagnostics of log-wealth under heavy-tailed
     multiplicative dynamics."""
-    q, p = FIG1_GLEVY, FIG4_PARAMS
-    ens = simulate(GeometricLevy(alpha=q["alpha"], beta=q["beta"],
-                                 scale=q["scale"], loc=q["loc"]),
-                   p["t"], p["dt"], 1, derive_seed(seed, 5))
+    p = FIG4_PARAMS
+    ens = simulate(GLEVY, p["t"], p["dt"], 1, derive_seed(seed, 5))
     log_wealth = np.log(ens.values[0])
     report = preasymptotic_report(log_wealth, ens.grid,
                                   tail_fraction=p["tail_fraction"],
@@ -215,13 +211,12 @@ def build_fig4(seed: int) -> FigureBundle:
     times = ens.grid.times
     distance, fluctuation = preasym_series(report, times)
     svg = render_panels([
-        (LineBundle("Distance to estimated asymptote", "time", "|deviation|",
-                    (distance,)), "lines"),
-        (LineBundle("Rolling fluctuation of increments", "time", "sd",
-                    (fluctuation,)), "lines"),
+        LineBundle("Distance to estimated asymptote", "time", "|deviation|",
+                   (distance,)),
+        LineBundle("Rolling fluctuation of increments", "time", "sd",
+                   (fluctuation,)),
     ])
-    note = (f"fig4: glevy alpha={q['alpha']} beta={q['beta']} scale={q['scale']} "
-            f"loc={q['loc']} t={p['t']} dt={p['dt']}; log-wealth, "
+    note = (f"fig4: {_GLEVY_NOTE} t={p['t']} dt={p['dt']}; log-wealth, "
             f"tail_fraction={p['tail_fraction']} window={p['window']}; "
             f"asymptote slope={report.slope:.17g} intercept={report.intercept:.17g}")
     return FigureBundle("fig4", render_csv(*preasym_table(report, times)), svg, note)
@@ -234,8 +229,7 @@ def build_fig5(seed: int) -> FigureBundle:
                     boundary=Dirichlet(0.0, 0.0),
                     initial_profile=lambda x: np.sin(np.pi * x / p["length"]))
     field = simulate_heat_spde(spec, p["dx"], p["dt"], p["t"], derive_seed(seed, 6))
-    svg = render_panels([(heatmap_bundle(field), "heatmap"),
-                         (profile_bundle(field), "lines")])
+    svg = render_panels([heatmap_bundle(field), profile_bundle(field)])
     note = (f"fig5: heat spde kappa={p['kappa']} sigma={p['sigma']} "
             f"L={p['length']} dx={p['dx']:.17g} dt={p['dt']} t={p['t']} "
             f"dirichlet 0/0, sine initial profile")

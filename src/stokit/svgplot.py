@@ -4,9 +4,10 @@ Output is a function of the input alone: fixed canvas geometry, fixed number
 formatting, no timestamps, so identical data yields byte-identical documents
 and file digests are meaningful.
 
-Two plot kinds: "lines" draws one polyline per named series (optionally on a
-log y axis); "heatmap" draws a rectangle grid with a monotone value-to-color
-ramp as the contour substitute.
+Two plot kinds, picked by the bundle type: a LineBundle draws one polyline
+per named series (optionally on a log y axis); a HeatmapBundle draws a
+rectangle grid with a monotone value-to-color ramp as the contour
+substitute.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ PANEL_H = 400
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 44, 52
 _PLOT_W = PANEL_W - _MARGIN_L - _MARGIN_R
 _PLOT_H = PANEL_H - _MARGIN_T - _MARGIN_B
+_BASE_Y = _MARGIN_T + _PLOT_H  # pixel row of the x axis
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
@@ -106,8 +108,31 @@ def _frame_and_title(title: str, x_label: str, y_label: str) -> list[str]:
     return parts
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
-    return np.linspace(lo, hi, n)
+def _px(v, lo: float, hi: float):
+    """Pixel column of a value or array on an axis over [lo, hi]; an axis
+    with lo == hi maps everything to its start, as does _py."""
+    return _MARGIN_L + (0.0 if hi == lo else (v - lo) / (hi - lo)) * _PLOT_W
+
+
+def _py(v, lo: float, hi: float):
+    return _BASE_Y - (0.0 if hi == lo else (v - lo) / (hi - lo)) * _PLOT_H
+
+
+def _tick_marks(x_range: tuple[float, float], y_range: tuple[float, float],
+                y_text=_label) -> list[str]:
+    """Five ticks with labels on each axis; ``y_text`` labels a y tick."""
+    parts = []
+    for t in np.linspace(*x_range, 5):
+        x = _px(t, *x_range)
+        parts.append(f'<line x1="{_fmt(x)}" y1="{_BASE_Y}" x2="{_fmt(x)}" '
+                     f'y2="{_BASE_Y + 5}" stroke="#000000"/>')
+        parts.append(_text(x, _BASE_Y + 20, _label(t), size=11))
+    for t in np.linspace(*y_range, 5):
+        y = _py(t, *y_range)
+        parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(y)}" '
+                     f'x2="{_MARGIN_L}" y2="{_fmt(y)}" stroke="#000000"/>')
+        parts.append(_text(_MARGIN_L - 8, y + 4, y_text(t), anchor="end", size=11))
+    return parts
 
 
 def _panel_lines(bundle: LineBundle) -> list[str]:
@@ -127,31 +152,17 @@ def _panel_lines(bundle: LineBundle) -> list[str]:
 
     xs_all = np.concatenate([np.asarray(s.x, dtype=np.float64) for s in bundle.series])
     ys_all = np.concatenate([transform_y(s.y) for s in bundle.series])
-    x_lo, x_hi = _axis_range(float(xs_all.min()), float(xs_all.max()))
-    y_lo, y_hi = _axis_range(float(ys_all.min()), float(ys_all.max()))
-
-    def px(v: float) -> float:
-        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * _PLOT_W
-
-    def py(v: float) -> float:
-        return _MARGIN_T + _PLOT_H - (v - y_lo) / (y_hi - y_lo) * _PLOT_H
+    x_range = _axis_range(float(xs_all.min()), float(xs_all.max()))
+    y_range = _axis_range(float(ys_all.min()), float(ys_all.max()))
 
     parts = _frame_and_title(bundle.title, bundle.x_label, bundle.y_label)
-    base_y = _MARGIN_T + _PLOT_H
-    for t in _ticks(x_lo, x_hi):
-        parts.append(f'<line x1="{_fmt(px(t))}" y1="{base_y}" x2="{_fmt(px(t))}" '
-                     f'y2="{base_y + 5}" stroke="#000000"/>')
-        parts.append(_text(px(t), base_y + 20, _label(t), size=11))
-    for t in _ticks(y_lo, y_hi):
-        parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(py(t))}" '
-                     f'x2="{_MARGIN_L}" y2="{_fmt(py(t))}" stroke="#000000"/>')
-        label = _label(10.0 ** t) if bundle.log_y else _label(t)
-        parts.append(_text(_MARGIN_L - 8, py(t) + 4, label, anchor="end", size=11))
+    parts += _tick_marks(x_range, y_range,
+                         (lambda t: _label(10.0 ** t)) if bundle.log_y else _label)
     for idx, s in enumerate(bundle.series):
         color = _PALETTE[idx % len(_PALETTE)]
-        ys = transform_y(s.y)
-        points = " ".join(f"{_fmt(px(float(a)))},{_fmt(py(float(b)))}"
-                          for a, b in zip(s.x, ys))
+        xs = _px(np.asarray(s.x, dtype=np.float64), *x_range).tolist()
+        ys = _py(transform_y(s.y), *y_range).tolist()
+        points = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(xs, ys))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
                      f'points="{points}"/>')
         parts.append(_text(_MARGIN_L + _PLOT_W - 4, _MARGIN_T + 14 + 14 * idx,
@@ -174,39 +185,23 @@ def _panel_heatmap(bundle: HeatmapBundle) -> list[str]:
     parts = _frame_and_title(bundle.title, bundle.x_label, bundle.y_label)
     # Row 0 sits at the bottom edge (low y value), matching plot orientation.
     for i in range(n_rows):
-        cy = _MARGIN_T + _PLOT_H - (i + 1) * cell_h
+        cy = _BASE_Y - (i + 1) * cell_h
         for j in range(n_cols):
             t = 0.5 if span == 0.0 else (values[i, j] - v_lo) / span
             parts.append(
                 f'<rect class="cell" x="{_fmt(_MARGIN_L + j * cell_w)}" '
                 f'y="{_fmt(cy)}" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
                 f'fill="{_ramp_color(float(t))}"/>')
-    x_lo, x_hi = bundle.x_range
-    y_lo, y_hi = bundle.y_range
-    base_y = _MARGIN_T + _PLOT_H
-    for t in _ticks(x_lo, x_hi):
-        x = _MARGIN_L + (0.0 if x_hi == x_lo else (t - x_lo) / (x_hi - x_lo)) * _PLOT_W
-        parts.append(f'<line x1="{_fmt(x)}" y1="{base_y}" x2="{_fmt(x)}" '
-                     f'y2="{base_y + 5}" stroke="#000000"/>')
-        parts.append(_text(x, base_y + 20, _label(t), size=11))
-    for t in _ticks(y_lo, y_hi):
-        y = base_y - (0.0 if y_hi == y_lo else (t - y_lo) / (y_hi - y_lo)) * _PLOT_H
-        parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{_fmt(y)}" '
-                     f'x2="{_MARGIN_L}" y2="{_fmt(y)}" stroke="#000000"/>')
-        parts.append(_text(_MARGIN_L - 8, y + 4, _label(t), anchor="end", size=11))
-    return parts
+    return parts + _tick_marks(bundle.x_range, bundle.y_range)
 
 
-def _panel(bundle, style: str) -> list[str]:
-    if style == "lines":
-        if not isinstance(bundle, LineBundle):
-            raise DomainError("style 'lines' requires a LineBundle")
+def _panel(bundle) -> list[str]:
+    if isinstance(bundle, LineBundle):
         return _panel_lines(bundle)
-    if style == "heatmap":
-        if not isinstance(bundle, HeatmapBundle):
-            raise DomainError("style 'heatmap' requires a HeatmapBundle")
+    if isinstance(bundle, HeatmapBundle):
         return _panel_heatmap(bundle)
-    raise DomainError(f"unknown plot style {style!r}")
+    raise DomainError(f"cannot plot a {type(bundle).__name__}; "
+                      "need a LineBundle or a HeatmapBundle")
 
 
 def _document(body: list[str], width: int, height: int) -> str:
@@ -217,19 +212,20 @@ def _document(body: list[str], width: int, height: int) -> str:
                       *body, "</svg>"]) + "\n"
 
 
-def render_svg(bundle, style: str = "lines") -> str:
-    """Render one chart as a standalone SVG 1.1 document."""
-    return _document(_panel(bundle, style), PANEL_W, PANEL_H)
+def render_svg(bundle) -> str:
+    """Render one chart as a standalone SVG 1.1 document; the bundle type
+    picks the plot kind."""
+    return _document(_panel(bundle), PANEL_W, PANEL_H)
 
 
-def render_panels(panels) -> str:
-    """Stack (bundle, style) pairs vertically into one standalone document."""
-    panels = list(panels)
-    if not panels:
+def render_panels(bundles) -> str:
+    """Stack bundles vertically into one standalone document."""
+    bundles = list(bundles)
+    if not bundles:
         raise DomainError("need at least one panel")
     body: list[str] = []
-    for i, (bundle, style) in enumerate(panels):
+    for i, bundle in enumerate(bundles):
         body.append(f'<g transform="translate(0 {i * PANEL_H})">')
-        body.extend(_panel(bundle, style))
+        body.extend(_panel(bundle))
         body.append("</g>")
-    return _document(body, PANEL_W, PANEL_H * len(panels))
+    return _document(body, PANEL_W, PANEL_H * len(bundles))

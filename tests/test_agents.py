@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stokit import (Brownian, DomainError, GeometricBrownian, GeometricLevy,
                     PoolConfig, evaluate_growth, evolutionary_optimize,
@@ -28,6 +33,16 @@ class TestWealthUpdate:
     def test_ruin_floor(self):
         got = growth_from_factors(3.0, np.array([[0.1]]), 1.0)
         assert got == (np.log(WEALTH_FLOOR), 1)
+
+    @pytest.mark.parametrize("fraction, factors", [
+        (1.5, [1.5, 1.5, 1.5, 0.0]),  # grows, then mix -0.5
+        (1.0, [1.5, 1.5, 1.5, 0.0]),  # grows, then mix 0
+        (1.0, [1e300, 0.0]),  # mix 0 at log-wealth 690.8
+    ])
+    def test_nonpositive_mix_after_growth_is_floored(self, fraction, factors):
+        factors = np.array([factors])
+        got = growth_from_factors(fraction, factors, 1.0)
+        assert got == (math.log(WEALTH_FLOOR) / factors.shape[1], 1)
 
 
 class TestEvaluateGrowth:
@@ -74,6 +89,50 @@ class TestEvaluateGrowth:
         expected = np.log(wealth) / (3 * 0.5)
         got = growth_from_factors(1.5, factors, 0.5)
         assert got.growth == pytest.approx(expected, rel=1e-12)
+
+
+def _floored_log_walk(fraction, factors, dt):
+    """Growth, ruin events and the closest approach to the floor of the
+    floored wealth walk, one path and one step at a time in log space."""
+    log_floor = math.log(WEALTH_FLOOR)
+    total, ruins, margin = 0.0, 0, math.inf
+    for row in factors:
+        level = 0.0
+        for r in row:
+            mix = 1.0 - fraction + fraction * r
+            level = level + math.log(mix) if mix > 0.0 else -math.inf
+            if level > -math.inf:
+                margin = min(margin, abs(level - log_floor))
+            if level < log_floor:
+                ruins += 1
+                level = log_floor
+        total += level
+    return total / len(factors) / (factors.shape[1] * dt), ruins, margin
+
+
+_FACTORS = arrays(np.float64,
+                  st.tuples(st.integers(1, 4), st.integers(1, 40)),
+                  elements=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+
+
+@settings(deadline=None)
+@given(st.floats(0.0, 3.0), _FACTORS)
+def test_growth_matches_floored_log_walk(fraction, factors):
+    # Factors below 1 - 1/fraction give a negative mix, zeros a zero mix at
+    # fraction 1.  A step that lands within rounding of the floor may round
+    # either way in either walk, so such draws are skipped.
+    dt = 0.5
+    want, ruins, margin = _floored_log_walk(fraction, factors, dt)
+    assume(margin > 1e-8)
+    got = growth_from_factors(fraction, factors, dt)
+    assert type(got.ruin_events) is int and got.ruin_events == ruins
+    # The mean log level can cancel to near zero, where only an absolute
+    # bound means anything.
+    assert got.growth == pytest.approx(want, rel=1e-12, abs=1e-12)
+    if ruins == 0:
+        mix = 1.0 - fraction + fraction * factors
+        horizon = factors.shape[1] * dt
+        assert got.growth == np.cumsum(np.log(mix), axis=1)[:, -1].mean() / horizon
 
 
 class TestEvolution:

@@ -8,11 +8,13 @@ Two tiers:
   through transcendental numpy kernels whose last bits depend on the numpy
   build and on its SIMD dispatch target.  Their digests are checked only
   where both match the recorded environment; elsewhere the tests are skipped
-  with the reason.
+  with the reason.  Fingerprints of the replicate CSVs, checked to a
+  relative 1e-12, hold on every platform.
 
 A change that moves any of these bits must say so and re-pin them.
 """
 
+import csv
 import hashlib
 
 import numpy as np
@@ -75,12 +77,51 @@ def _require_recorded_environment():
                     f"dispatching to {environment[1]}")
 
 
-def test_replicate_digests(tmp_path):
+@pytest.fixture(scope="module")
+def replicate_dir(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("replicate")
+    assert main(["replicate", "--outdir", str(outdir), "--seed", "12345"]) == 0
+    return outdir
+
+
+def test_replicate_digests(replicate_dir):
     _require_recorded_environment()
-    assert main(["replicate", "--outdir", str(tmp_path), "--seed", "12345"]) == 0
-    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    lines = (replicate_dir / "manifest.txt").read_text().splitlines()
     got = dict(line.split("\t") for line in lines if not line.startswith("#"))
     assert got == REPLICATE_DIGESTS
+
+
+# (rows, columns, blank or nan cells), then the sums of log1p|v| over the
+# other cells: plain, weighted by row number and weighted by column number.
+REPLICATE_FINGERPRINTS = {
+    "fig1.csv": ((401, 12, 600),
+                 (3266.2393988612794, 665458.4537800569, 24996.252898022933)),
+    "fig2.csv": ((401, 16, 0),
+                 (4971.1099875002565, 1017669.5746897352, 41892.02643623688)),
+    "fig3.csv": ((1001, 4, 0),
+                 (2969.2042754646527, 1613713.8425243846, 5911.555198350057)),
+    "fig4.csv": ((5001, 3, 50),
+                 (19529.974642914152, 51056776.004595935, 24277.61898122429)),
+    "fig5.csv": ((251, 66, 0),
+                 (6892.843542386706, 842699.277340834, 232897.51452793108)),
+}
+
+
+def _fingerprint(text: str):
+    rows = list(csv.reader(text.splitlines()[1:]))
+    cells = np.array([[float(c) if c else np.nan for c in row] for row in rows])
+    g = np.log1p(np.abs(np.nan_to_num(cells, nan=0.0)))
+    i, j = np.indices(g.shape)
+    return ((*cells.shape, int(np.isnan(cells).sum())),
+            (g.sum(), (g * (i + 1)).sum(), (g * (j + 1)).sum()))
+
+
+@pytest.mark.parametrize("name", sorted(REPLICATE_FINGERPRINTS))
+def test_replicate_fingerprints(replicate_dir, name):
+    shape, sums = _fingerprint((replicate_dir / name).read_text())
+    want_shape, want_sums = REPLICATE_FINGERPRINTS[name]
+    assert shape == want_shape
+    np.testing.assert_allclose(sums, want_sums, rtol=1e-12, atol=0.0)
 
 
 def test_evolve_history_digest():

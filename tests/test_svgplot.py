@@ -29,13 +29,13 @@ def test_one_polyline_per_series():
 def test_heatmap_cell_count_and_color_mapping():
     values = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]])
     svg = render_svg(HeatmapBundle("t", "x", "y", (0.0, 1.0), (0.0, 1.0),
-                                   values), style="heatmap")
+                                   values))
     assert svg.count('class="cell"') == 9
 
     # equal values -> equal fill colors
     flat = np.array([[1.0, 5.0, 1.0]])
     svg2 = render_svg(HeatmapBundle("t", "x", "y", (0.0, 1.0), (0.0, 1.0),
-                                    flat), style="heatmap")
+                                    flat))
     cells = [line for line in svg2.splitlines() if 'class="cell"' in line]
     colors = [c.split('fill="')[1].split('"')[0] for c in cells]
     assert colors[0] == colors[2]
@@ -44,7 +44,7 @@ def test_heatmap_cell_count_and_color_mapping():
 
 def test_constant_heatmap_single_color():
     svg = render_svg(HeatmapBundle("t", "x", "y", (0.0, 1.0), (0.0, 1.0),
-                                   np.full((2, 2), 3.3)), style="heatmap")
+                                   np.full((2, 2), 3.3)))
     cells = [line for line in svg.splitlines() if 'class="cell"' in line]
     colors = {c.split('fill="')[1].split('"')[0] for c in cells}
     assert len(colors) == 1
@@ -56,7 +56,7 @@ def test_rejects_non_finite():
         render_svg(LineBundle("t", "x", "y", (bad,)))
     with pytest.raises(DomainError):
         render_svg(HeatmapBundle("t", "x", "y", (0.0, 1.0), (0.0, 1.0),
-                                 np.array([[1.0, np.inf]])), style="heatmap")
+                                 np.array([[1.0, np.inf]])))
 
 
 def test_rejects_empty():
@@ -72,20 +72,21 @@ def test_log_axis_requires_positive():
         render_svg(LineBundle("t", "x", "y", (s,), log_y=True))
 
 
-def test_style_bundle_mismatch():
+def test_rejects_non_bundle():
     with pytest.raises(DomainError):
-        render_svg(LineBundle("t", "x", "y", (one_series(),)), style="heatmap")
+        render_svg(one_series())
     with pytest.raises(DomainError):
-        render_svg(LineBundle("t", "x", "y", (one_series(),)), style="scatter")
+        render_panels([LineBundle("t", "x", "y", (one_series(),)), "lines"])
 
 
 def test_panels_stack():
     doc = render_panels([
-        (LineBundle("a", "x", "y", (one_series(),)), "lines"),
-        (LineBundle("b", "x", "y", (one_series(),)), "lines"),
+        LineBundle("a", "x", "y", (one_series(),)),
+        HeatmapBundle("b", "x", "y", (0.0, 1.0), (0.0, 1.0), np.eye(2)),
     ])
     assert doc.count("<g transform=") == 2
-    assert doc.count("<polyline") == 2
+    assert doc.count("<polyline") == 1
+    assert doc.count('class="cell"') == 4
     assert doc.startswith('<?xml version="1.0"')
     assert doc.rstrip().endswith("</svg>")
 
