@@ -9,6 +9,13 @@ Evaluations inside a generation share one set of simulated paths (common
 random numbers), indexed by (generation, path) and never by agent, so
 selection compares fractions on identical draws and any evaluation schedule
 gives the same outcome.
+
+A generation is scored in one blocked pass over its factor matrix: the log
+mix of every fraction for a block of steps is built in one reused buffer and
+summed down the steps into each path's running log wealth.  The per-path sum
+runs in step order and keeps the bits of ``cumsum(log_mix)[:, -1]``, alone
+or in any batch.  The running minimum of the same sums is the floor check:
+only fractions whose wealth reaches the floor go to the exact floored walk.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from .rng import derive_seed, sample_gaussian, substream
 WEALTH_FLOOR = 1e-12
 _LOG_FLOOR = math.log(WEALTH_FLOOR)
 _TINY = np.nextafter(0.0, 1.0)  # smallest subnormal; log is -744.4
+_BLOCK = 1 << 17  # log-mix values per block of steps in `_score`
+_ROW_ADDS = 256  # from this many columns `_score` adds rows, not a cumsum
 
 _PATH_SALT = 0x70617468
 _MUTATION_SALT = 0x6D757461
@@ -49,16 +58,63 @@ def growth_from_factors(fraction: float, factors: np.ndarray, dt: float
                         ) -> GrowthEval:
     """Time-average log growth of leveraged wealth given per-step gross
     factors of the risky process (paths x steps), with wealth floored at
-    WEALTH_FLOOR; a zero or negative mix ``1 - f + f * r`` ruins the step.
-    The floored log walk is Lindley's reflected walk over the unfloored sum S:
-    it is floored where S drops below the floor and every earlier S, and ends
-    at the floor plus its rise after its lowest S if that is below the floor."""
+    WEALTH_FLOOR; a zero or negative mix ``1 - f + f * r`` ruins the step."""
+    return _score(np.array([fraction], dtype=np.float64), factors, dt)[0]
+
+
+def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
+           ) -> list[GrowthEval]:
+    """`growth_from_factors` for every fraction on the same factors, in one
+    pass over blocks of steps.
+
+    Each block holds the log mix of every (fraction, path) pair for up to
+    ``_BLOCK // (fractions x paths)`` steps, about 1 MB, steps-major.  It is
+    summed down the steps into the running log wealth, by a cumsum when it
+    has few columns and by one row add per step when it has ``_ROW_ADDS`` or
+    more, where cumsum's serial chain per column costs more than numpy's call
+    per row.  Either way each path is summed in step order and keeps the bits
+    of ``cumsum(log_mix)[:, -1]``; the running minimum of the same sums sends
+    exactly the fractions whose wealth reaches the floor to `_floored_walk`.
+    """
+    n_paths, n_steps = factors.shape
+    horizon = n_steps * dt
+    shift = np.repeat(1.0 - fractions, n_paths)
+    block = np.empty((min(n_steps, max(1, _BLOCK // shift.size)), shift.size))
+    rows = list(block) if shift.size >= _ROW_ADDS else None
+    steps = np.empty((len(block), n_paths))  # the block's factors, steps-major
+    wealth, low = np.zeros(shift.size), np.empty(shift.size)
+    lowest = np.full(shift.size, np.inf)
+    for start in range(0, n_steps, len(block)):
+        part = block[:n_steps - start]
+        np.copyto(steps[:len(part)], factors[:, start:start + len(part)].T)
+        np.multiply(steps[:len(part), None, :], fractions[:, None],
+                    out=part.reshape(len(part), fractions.size, n_paths))
+        part += shift
+        np.log(np.maximum(part, _TINY, out=part), out=part)
+        part[0] += wealth  # log is never -0.0, so 0 + x is x
+        if rows is None:
+            np.cumsum(part, axis=0, out=part)
+        else:
+            for prev, row in zip(rows, rows[1:len(part)]):
+                np.add(prev, row, out=row)
+        np.minimum(lowest, part.min(axis=0, out=low), out=lowest)
+        np.copyto(wealth, part[-1])
+    growth = wealth.reshape(-1, n_paths).mean(axis=1) / horizon
+    floored = ~(lowest.reshape(-1, n_paths).min(axis=1) >= _LOG_FLOOR)
+    return [_floored_walk(f, factors, dt) if ruined else GrowthEval(float(g), 0)
+            for f, g, ruined in zip(fractions, growth, floored)]
+
+
+def _floored_walk(fraction: float, factors: np.ndarray, dt: float
+                  ) -> GrowthEval:
+    """The floored log walk, which is Lindley's reflected walk over the
+    unfloored sum S: it is floored where S drops below the floor and every
+    earlier S, and ends at the floor plus its rise after its lowest S if that
+    is below the floor."""
     horizon = factors.shape[1] * dt
     log_mix = fraction * factors + (1.0 - fraction)
     np.log(np.maximum(log_mix, _TINY, out=log_mix), out=log_mix)
     log_wealth = np.cumsum(log_mix, axis=1)
-    if log_wealth.min() >= _LOG_FLOOR:
-        return GrowthEval(float(log_wealth[:, -1].mean() / horizon), 0)
     lowest = log_wealth.argmin(axis=1)
     low = np.minimum(log_wealth, _LOG_FLOOR, out=log_wealth)  # in the cumsum buffer
     np.minimum.accumulate(low, axis=1, out=low)
@@ -148,8 +204,8 @@ def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec
         path_seed = derive_seed(config.seed, _PATH_SALT, generation)
         factors = _factors(spec, config.horizon, config.dt,
                            config.paths_per_eval, path_seed)
-        fitness = np.array([growth_from_factors(f, factors, config.dt).growth
-                            for f in fractions])
+        fitness = np.array([score.growth for score in
+                            _score(fractions, factors, config.dt)])
         order = np.argsort(-fitness, kind="stable")
         history.append(GenerationStat(float(fractions[order[0]]),
                                       float(fitness[order[0]])))

@@ -1,14 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stokit import (Brownian, DomainError, GeometricBrownian, GeometricLevy,
                     PoolConfig, evaluate_growth, evolutionary_optimize,
                     growth_from_factors, simulate)
+from stokit import agents
 from stokit.agents import _PATH_SALT, WEALTH_FLOOR
 from stokit.rng import derive_seed
 
@@ -117,6 +119,7 @@ _FACTORS = arrays(np.float64,
 
 @settings(deadline=None)
 @given(st.floats(0.0, 3.0), _FACTORS)
+@example(1.0, np.full((2, 41), 0.5))  # first dips 0.1 below the floor at step 40
 def test_growth_matches_floored_log_walk(fraction, factors):
     # Factors below 1 - 1/fraction give a negative mix, zeros a zero mix at
     # fraction 1.  A step that lands within rounding of the floor may round
@@ -133,6 +136,47 @@ def test_growth_matches_floored_log_walk(fraction, factors):
         mix = 1.0 - fraction + fraction * factors
         horizon = factors.shape[1] * dt
         assert got.growth == np.cumsum(np.log(mix), axis=1)[:, -1].mean() / horizon
+
+
+def _bits(scores):
+    return [(np.float64(s.growth).tobytes(), s.ruin_events) for s in scores]
+
+
+_FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0))
+
+
+@settings(deadline=None)
+@given(_FACTORS, st.lists(_FRACTION, min_size=1, max_size=5), st.integers(1, 7))
+def test_generation_scores_match_single_fraction_scores(factors, drawn, steps):
+    # Blocks of `steps` steps for the generation (0 and a duplicate added),
+    # so the step counts run past one block and end inside one.  The batch
+    # is summed once by row adds and once by cumsum; the single scores, one
+    # block each, by cumsum.
+    fractions = np.array([0.0, *drawn, drawn[0]])
+    dt, horizon = 0.5, factors.shape[1] * 0.5
+    width = fractions.size * factors.shape[0]
+    single = [growth_from_factors(f, factors, dt) for f in fractions]
+    for row_adds in (1, width + 1):
+        with mock.patch.multiple(agents, _BLOCK=width * steps, _ROW_ADDS=row_adds):
+            batch = agents._score(fractions, factors, dt)
+        assert _bits(batch) == _bits(single)
+    for f, got in zip(fractions, batch):
+        if got.ruin_events == 0:
+            mix = f * factors + (1.0 - f)
+            want = np.cumsum(np.log(mix), axis=1)[:, -1].mean() / horizon
+            assert np.float64(got.growth).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [GeometricBrownian(0.05, 0.2),
+                                  GeometricLevy(1.5, 0.0, 0.2, 0.02)])
+def test_score_does_not_depend_on_the_batch(spec):
+    # The module promises that any evaluation schedule gives the same
+    # outcome: a fraction scored alone or among 40 others has the same bits.
+    factors = agents._factors(spec, 20.0, 0.01, 50, 8)
+    others = np.random.default_rng(8).uniform(0.0, 3.0, 40)
+    for at, fraction in ((0, 0.0), (17, 1.25), (40, 2.9)):
+        batch = agents._score(np.insert(others, at, fraction), factors, 0.01)
+        assert _bits([batch[at]]) == _bits([growth_from_factors(fraction, factors, 0.01)])
 
 
 class TestEvolution:
