@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .agents import PoolConfig, evolutionary_optimize
-from .csvio import ensemble_to_csv, read_ensemble_csv, write_csv
+from .csvio import ensemble_table, read_ensemble_csv, write_csv
 from .diagnostics import (DEFAULT_FAN_LEVELS, growth_rates,
                           preasymptotic_report, quantile_fan, summary_curves)
 from .errors import (DomainError, GridError, PositivityError, SchemaError,
@@ -139,7 +139,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_flags(args.family, args)
     ensemble = simulate(spec, args.t, args.dt, args.n, args.seed,
                         workers=args.workers)
-    Path(args.out).write_text(ensemble_to_csv(ensemble), encoding="utf-8")
+    write_csv(args.out, *ensemble_table(ensemble))
     return 0
 
 

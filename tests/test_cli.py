@@ -1,9 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stokit import (GeometricBrownian, OrnsteinUhlenbeck, growth_rates,
+from stokit import (GeometricBrownian, OrnsteinUhlenbeck, cli, csvio, growth_rates,
                     quantile_fan, simulate, summary_curves)
 from stokit.cli import _dispatch_targets, main
 from stokit.csvio import read_ensemble_csv
@@ -261,6 +262,44 @@ class TestReplicateCommand:
         ens = read_ensemble_csv(out)
         direct = simulate(OrnsteinUhlenbeck(1.0, 0.0, 0.5, 1.0), 1.0, 0.1, 3, 2)
         np.testing.assert_array_equal(ens.values, direct.values)
+
+
+def test_csv_io_memory_is_one_piece_not_the_file(tmp_path, monkeypatch):
+    """`simulate --out` and `diagnose --in` add less than a quarter of the
+    file's size to what the ensemble array itself takes: neither holds the
+    file's text or a second full-size table."""
+    monkeypatch.setattr(csvio, "_PIECE_CELLS", 2048)  # 6-row pieces here
+    added = {}
+
+    def simulate_then_mark(*args, **kwargs):
+        ensemble = simulate(*args, **kwargs)
+        tracemalloc.reset_peak()
+        added["before_write"] = tracemalloc.get_traced_memory()[0]
+        return ensemble
+
+    def traced_read(path):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ensemble = read_ensemble_csv(path)
+        added["read"] = (tracemalloc.get_traced_memory()[1] - before
+                         - ensemble.values.nbytes)
+        return ensemble
+
+    monkeypatch.setattr(cli, "simulate", simulate_then_mark)
+    monkeypatch.setattr(cli, "read_ensemble_csv", traced_read)
+    out = tmp_path / "e.csv"
+    tracemalloc.start()
+    try:
+        assert run(["simulate", "gbm", "--mu", 0.05, "--sigma", 0.2, "--t", 2,
+                    "--dt", 0.01, "--n", 300, "--seed", 5, "--out", out]) == 0
+        added["write"] = tracemalloc.get_traced_memory()[1] - added["before_write"]
+        assert run(["diagnose", "--in", out, "--growth",
+                    "--out-prefix", tmp_path / "d"]) == 0
+    finally:
+        tracemalloc.stop()
+    quarter = out.stat().st_size / 4
+    assert added["write"] < quarter
+    assert added["read"] < quarter
 
 
 @pytest.mark.parametrize("argv", [

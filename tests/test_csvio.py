@@ -1,10 +1,14 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stokit import Brownian, SchemaError, simulate
-from stokit.csvio import ensemble_to_csv, parse_ensemble_csv, render_csv
+from stokit import Brownian, SchemaError, cli, csvio, simulate
+from stokit.csvio import (ensemble_to_csv, parse_ensemble_csv, read_ensemble_csv,
+                          render_csv, write_csv)
 
 finite_doubles = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -15,14 +19,21 @@ columns = st.integers(1, 4).flatmap(
                             min_size=n_cols, max_size=n_cols))
 
 
+def per_cell(header, cols):
+    """The rendering rule cell by cell: numbers as ``%.17g``, text as it is,
+    empty cells below the end of a shorter column."""
+    n_rows = max(len(col) for col in cols)
+    rows = [",".join(header)] + [
+        ",".join(("%s" if isinstance(col[k], str) else "%.17g") % col[k]
+                 if k < len(col) else "" for col in cols)
+        for k in range(n_rows)]
+    return "\n".join(rows) + "\n"
+
+
 @given(columns)
 def test_render_csv_matches_per_cell_rule(cols):
-    n_rows = max(len(col) for col in cols)
     header = [f"c{j}" for j in range(len(cols))]
-    expected = [",".join(header)] + [
-        ",".join(f"{col[k]:.17g}" if k < len(col) else "" for col in cols)
-        for k in range(n_rows)]
-    assert render_csv(header, cols) == "\n".join(expected) + "\n"
+    assert render_csv(header, cols) == per_cell(header, cols)
 
 
 @given(st.lists(finite_doubles, min_size=2, max_size=8), st.integers(1, 3),
@@ -70,15 +81,131 @@ def test_schema_violations(text):
         parse_ensemble_csv(text)
 
 
-@pytest.mark.parametrize("text, message", [
+FILE_LINE_ERRORS = [
     ("time,inst_0\n0,1\n\n1,2\n2,x\n", "src.csv:5: bad value 'x' in column 'inst_0'"),
     ("time,inst_0\n0,1\n\n1,2,3\n", "src.csv:4: expected 2 columns, got 3"),
     ("time,inst_0,inst_1\n\n0,1,2\n1,2\n", "src.csv:4: expected 3 columns, got 2"),
     ("time,inst_0\n0,1\n\nnan,2\n", "src.csv:4: non-finite value nan in column 'time'"),
     ("time,inst_0\n\n0,1\n1,2\n\n2,-inf\n",
      "src.csv:6: non-finite value -inf in column 'inst_0'"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", FILE_LINE_ERRORS)
 def test_errors_name_the_file_line(text, message):
     with pytest.raises(SchemaError) as info:
         parse_ensemble_csv(text, source="src.csv")
     assert str(info.value) == message
+
+
+# --- pieces of rows -----------------------------------------------------------
+
+def pieces(rows, n_columns):
+    """Patch the piece size to ``rows`` rows of an ``n_columns``-wide table;
+    ``rows=None`` keeps the real size."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(csvio, "_PIECE_CELLS", rows * n_columns)
+
+
+# (rows per piece, table rows) with table rows piece - 1, piece, piece + 1 or
+# 2 piece + 1.
+piece_and_rows = st.tuples(st.integers(1, 5), st.sampled_from([-1, 0, 1, None])).map(
+    lambda t: (t[0], 2 * t[0] + 1 if t[1] is None else max(1, t[0] + t[1])))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(piece_and_rows, st.integers(0, 2), st.booleans(), st.data())
+def test_write_csv_in_pieces_matches_render_and_per_cell_rule(
+        tmp_path, sizes, n_short, text, data):
+    piece, n_rows = sizes
+    cols = [np.array(data.draw(st.lists(finite_doubles, min_size=n_rows,
+                                        max_size=n_rows)))]
+    # Shorter columns are padded, as fig1 pads the shorter of its two fans.
+    cols += [data.draw(st.lists(finite_doubles, min_size=1, max_size=n_rows))
+             for _ in range(n_short)]
+    if text:
+        cols.insert(0, data.draw(st.lists(st.sampled_from(["a", "time_average"]),
+                                          min_size=1, max_size=n_rows)))
+    header = [f"c{j}" for j in range(len(cols))]
+    path = tmp_path / "t.csv"
+    with pieces(piece, len(cols)):
+        rendered = render_csv(header, cols)
+        write_csv(path, header, cols)
+    assert rendered == per_cell(header, cols)
+    assert path.read_bytes() == rendered.encode("utf-8")
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(piece_and_rows, st.integers(1, 3), st.data())
+def test_read_in_pieces_matches_parse_bit_for_bit(tmp_path, sizes, n_inst, data):
+    piece, n_rows = sizes
+    n_rows = max(2, n_rows)
+    values = np.array([data.draw(st.lists(finite_doubles, min_size=n_rows,
+                                          max_size=n_rows))
+                       for _ in range(n_inst)])
+    header = ["time"] + [f"inst_{i}" for i in range(n_inst)]
+    path = tmp_path / "e.csv"
+    with pieces(piece, n_inst + 1):
+        write_csv(path, header, [np.arange(n_rows) * 0.25, *values])
+        read = read_ensemble_csv(path)
+        parsed = parse_ensemble_csv(path.read_text(encoding="utf-8"))
+    assert read.values.tobytes() == parsed.values.tobytes() == values.tobytes()
+    assert read.grid == parsed.grid
+
+
+def test_unpatched_piece_boundary(tmp_path):
+    n_rows = csvio._PIECE_CELLS // 3 + 1  # a full piece and one row
+    cols = [np.arange(n_rows) * 0.5,
+            *np.random.default_rng(3).standard_normal((2, n_rows))]
+    header = ["time", "inst_0", "inst_1"]
+    path = tmp_path / "e.csv"
+    write_csv(path, header, cols)
+    text = path.read_text(encoding="utf-8")
+    assert text == render_csv(header, cols) == per_cell(header, cols)
+    back = read_ensemble_csv(path)
+    assert back.values.tobytes() == np.array(cols[1:]).tobytes()
+    assert back.values.tobytes() == parse_ensemble_csv(text).values.tobytes()
+
+
+def test_crlf_file_parses_like_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    assert cli.main(["simulate", "gbm", "--mu", "0.05", "--sigma", "0.2",
+                     "--t", "2", "--dt", "0.01", "--n", "7", "--seed", "3",
+                     "--out", str(lf)]) == 0
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    with pieces(8, 8):
+        a, b = read_ensemble_csv(lf), read_ensemble_csv(crlf)
+        c = parse_ensemble_csv(crlf.read_bytes().decode("utf-8"))
+    assert b"\r\n" in crlf.read_bytes()
+    assert a.values.tobytes() == b.values.tobytes() == c.values.tobytes()
+    assert a.grid == b.grid == c.grid
+
+
+@pytest.mark.parametrize("piece", [1, 2, None])  # rows per piece; None: real size
+@pytest.mark.parametrize("text, message", FILE_LINE_ERRORS + [
+    ("time,inst_0\n0,1\n1,2\n\n2,3\n3,x\n4,5\n",
+     "src.csv:6: bad value 'x' in column 'inst_0'"),
+    # Of several faults, the first in file order is named.
+    ("time,inst_0\n0,x\n1,2,3\n", "src.csv:2: bad value 'x' in column 'inst_0'"),
+    ("time,inst_0\n0,nan\n1,x\n", "src.csv:2: non-finite value nan in column 'inst_0'"),
+    ("time,inst_0,inst_1\n0,1,2\n1,inf,x\n",
+     "src.csv:3: non-finite value inf in column 'inst_0'"),
+    ("time,inst_0\n0,1,2\n", "src.csv:2: expected 2 columns, got 3"),
+])
+def test_fault_in_any_piece_names_its_file_line(tmp_path, piece, text, message):
+    path = tmp_path / "src.csv"
+    path.write_text(text, encoding="utf-8")
+    with pieces(piece, text.split("\n")[0].count(",") + 1):
+        with pytest.raises(SchemaError) as from_text:
+            parse_ensemble_csv(text, source="src.csv")
+        with pytest.raises(SchemaError) as from_file:
+            read_ensemble_csv(path)
+    assert str(from_text.value) == message
+    assert str(from_file.value) == message.replace("src.csv", str(path), 1)
+
+
+def test_rows_lost_between_the_two_passes_are_reported():
+    passes = iter([["time,inst_0", "0,1", "1,2", "2,3"], ["time,inst_0", "0,1", "1,2"]])
+    with pytest.raises(SchemaError, match="file changed while being read"):
+        csvio._parse_lines(lambda: iter(next(passes)), "src.csv")
