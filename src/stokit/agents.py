@@ -10,12 +10,12 @@ random numbers), indexed by (generation, path) and never by agent, so
 selection compares fractions on identical draws and any evaluation schedule
 gives the same outcome.
 
-A generation is scored in one blocked pass over its factor matrix: the log
-mix of every fraction for a block of steps is built in one reused buffer and
-summed down the steps into each path's running log wealth.  The per-path sum
-runs in step order and keeps the bits of ``cumsum(log_mix)[:, -1]``, alone
-or in any batch.  The running minimum of the same sums is the floor check:
-only fractions whose wealth reaches the floor go to the exact floored walk.
+A generation is scored in one blocked pass over its factor matrix: a block of
+steps' factors is tiled across the fractions in one buffer, scaled and shifted
+in place (the two roundings of ``f * r + (1 - f)``), logged and summed down
+the steps into each path's running log wealth, keeping the bits of
+``cumsum(log_mix)[:, -1]`` alone or in any batch.  The running minimum of the
+same sums is the floor check: only floored fractions go to the floored walk.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
     pass over blocks of steps.
 
     Each block holds the log mix of every (fraction, path) pair for up to
-    ``_BLOCK // (fractions x paths)`` steps, about 1 MB, steps-major.  It is
+    ``_BLOCK // (fractions x paths)`` steps, about 1 MB, steps-major: the
+    factors tiled across the fractions, ``*= scale`` and ``+= shift`` in place
+    (each still ``fl(fl(f * r) + (1 - f))``), clamped and logged.  It is
     summed down the steps into the running log wealth, by a cumsum when it
     has few columns and by one row add per step when it has ``_ROW_ADDS`` or
     more, where cumsum's serial chain per column costs more than numpy's call
@@ -78,7 +80,7 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
     """
     n_paths, n_steps = factors.shape
     horizon = n_steps * dt
-    shift = np.repeat(1.0 - fractions, n_paths)
+    scale, shift = np.repeat(fractions, n_paths), np.repeat(1.0 - fractions, n_paths)
     block = np.empty((min(n_steps, max(1, _BLOCK // shift.size)), shift.size))
     rows = list(block) if shift.size >= _ROW_ADDS else None
     steps = np.empty((len(block), n_paths))  # the block's factors, steps-major
@@ -87,8 +89,9 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
     for start in range(0, n_steps, len(block)):
         part = block[:n_steps - start]
         np.copyto(steps[:len(part)], factors[:, start:start + len(part)].T)
-        np.multiply(steps[:len(part), None, :], fractions[:, None],
-                    out=part.reshape(len(part), fractions.size, n_paths))
+        np.copyto(part.reshape(len(part), fractions.size, n_paths),
+                  steps[:len(part), None, :])
+        part *= scale
         part += shift
         np.log(np.maximum(part, _TINY, out=part), out=part)
         part[0] += wealth  # log is never -0.0, so 0 + x is x

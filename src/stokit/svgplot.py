@@ -33,6 +33,9 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 # values to equal colors.
 _RAMP = ((0.0, (68, 1, 84)), (0.25, (59, 82, 139)), (0.5, (33, 145, 140)),
          (0.75, (94, 201, 98)), (1.0, (253, 231, 37)))
+_KNOTS = np.array([k for k, _ in _RAMP])
+_CHANNELS = np.array([c for _, c in _RAMP], dtype=np.float64)
+_HEX = np.array([ord(c) for c in "0123456789abcdef"], dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,18 @@ def _axis_range(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, lo + pad
 
 
-def _ramp_color(t: float) -> str:
-    for (t0, c0), (t1, c1) in zip(_RAMP, _RAMP[1:]):
-        if t <= t1:
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            r, g, b = (round(a + w * (b_ - a)) for a, b_ in zip(c0, c1))
-            return f"#{r:02x}{g:02x}{b:02x}"
-    r, g, b = _RAMP[-1][1]
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _ramp_colors(t: np.ndarray) -> list:
+    """``#rrggbb`` colors of t as nested lists, built as arrays with the scalar
+    rule's rounding: channel round(a + w * (b - a)), half to even, in the first
+    segment with t <= t1; NaN (from an overflowed span) gets the last color."""
+    t = np.where(t <= _KNOTS[-1], t, _KNOTS[-1])
+    seg = np.searchsorted(_KNOTS[1:], t)
+    w = (t - _KNOTS[seg]) / (_KNOTS[seg + 1] - _KNOTS[seg])
+    low = _CHANNELS[seg]
+    rgb = np.rint(low + w[..., None] * (_CHANNELS[seg + 1] - low)).astype(np.int64)
+    chars = np.full((*t.shape, 7), ord("#"), dtype=np.uint32)  # code points
+    chars[..., 1:] = _HEX[(rgb[..., None] >> [4, 0] & 15).reshape(*t.shape, 6)]
+    return chars.view("U7")[..., 0].tolist()
 
 
 def _text(x: float, y: float, content: str, anchor: str = "middle",
@@ -182,16 +189,16 @@ def _panel_heatmap(bundle: HeatmapBundle) -> list[str]:
     cell_w = _PLOT_W / n_cols
     cell_h = _PLOT_H / n_rows
 
+    t = np.full(values.shape, 0.5) if span == 0.0 else (values - v_lo) / span
+    xs = [_fmt(_MARGIN_L + j * cell_w) for j in range(n_cols)]
+    size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
+
     parts = _frame_and_title(bundle.title, bundle.x_label, bundle.y_label)
     # Row 0 sits at the bottom edge (low y value), matching plot orientation.
-    for i in range(n_rows):
-        cy = _BASE_Y - (i + 1) * cell_h
-        for j in range(n_cols):
-            t = 0.5 if span == 0.0 else (values[i, j] - v_lo) / span
-            parts.append(
-                f'<rect class="cell" x="{_fmt(_MARGIN_L + j * cell_w)}" '
-                f'y="{_fmt(cy)}" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
-                f'fill="{_ramp_color(float(t))}"/>')
+    for i, fills in enumerate(_ramp_colors(t)):
+        y = _fmt(_BASE_Y - (i + 1) * cell_h)
+        parts += [f'<rect class="cell" x="{x}" y="{y}" {size} fill="{fill}"/>'
+                  for x, fill in zip(xs, fills)]
     return parts + _tick_marks(bundle.x_range, bundle.y_range)
 
 

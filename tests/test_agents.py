@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -147,6 +148,11 @@ _FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0))
 
 @settings(deadline=None)
 @given(_FACTORS, st.lists(_FRACTION, min_size=1, max_size=5), st.integers(1, 7))
+# 10 steps in blocks of 3 end in a 1-step block.
+@example(np.linspace(0.5, 1.5, 20).reshape(2, 10), [0.4, 2.5], 3)
+# f = 1 on a factor of exactly 0 mixes to 0, which the log clamps to _TINY;
+# f = 0 next to it mixes to exactly 1.
+@example(np.array([[1.2, 0.0, 0.9], [0.8, 1.1, 1.0]]), [1.0, 0.0], 2)
 def test_generation_scores_match_single_fraction_scores(factors, drawn, steps):
     # Blocks of `steps` steps for the generation (0 and a duplicate added),
     # so the step counts run past one block and end inside one.  The batch
@@ -177,6 +183,23 @@ def test_score_does_not_depend_on_the_batch(spec):
     for at, fraction in ((0, 0.0), (17, 1.25), (40, 2.9)):
         batch = agents._score(np.insert(others, at, fraction), factors, 0.01)
         assert _bits([batch[at]]) == _bits([growth_from_factors(fraction, factors, 0.01)])
+
+
+def test_score_memory_is_one_block_not_the_factor_matrix():
+    # A 40-fraction generation on 50 x 20000 factors holds one block of log
+    # mixes (_BLOCK values) and small per-column state; tiling the whole
+    # factor matrix across the fractions would take 320 MB.
+    rng = np.random.default_rng(5)
+    factors = np.exp(rng.normal(0.0, 0.02, (50, 20000)))
+    fractions = np.linspace(0.0, 2.0, 40)
+    tracemalloc.start()
+    try:
+        scores = agents._score(fractions, factors, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(score.ruin_events == 0 for score in scores)  # no floored walk
+    assert peak < 2 * agents._BLOCK * 8
 
 
 class TestEvolution:

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from stokit import (DomainError, sample_gaussian, sample_poisson_events,
-                    sample_stable, substream)
+from stokit import (DomainError, RngStream, sample_gaussian,
+                    sample_poisson_events, sample_stable, substream)
 
 
 def test_substream_is_pure():
@@ -47,6 +47,37 @@ def test_block_rows_match_scalar_streams(seed, ids, n):
         scalar = substream(seed, stream_id)
         assert rows[r].tobytes() == sample_gaussian(scalar, n).tobytes()
         assert scalar.counter == 2 * n
+
+
+# Each sampler with the (alpha, beta) branches of `sample_stable`: the
+# alpha = 1 closed form with and without skew, alpha = 2 and a general alpha.
+_SAMPLERS = {
+    "gaussian": sample_gaussian,
+    "stable(1, 0)": lambda s, n: sample_stable(s, 1.0, 0.0, n),
+    "stable(1, 0.5)": lambda s, n: sample_stable(s, 1.0, 0.5, n),
+    "stable(2, -0.3)": lambda s, n: sample_stable(s, 2.0, -0.3, n),
+    "stable(1.5, 0.7)": lambda s, n: sample_stable(s, 1.5, 0.7, n),
+}
+
+
+@given(st.sampled_from(sorted(_SAMPLERS)), st.integers(0, 2**64 - 1),
+       st.one_of(st.integers(0, 2**64 - 1),
+                 st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4)),
+       st.integers(0, 40))
+def test_samplers_consume_two_slots_per_variate(name, seed, ids, n):
+    # Box-Muller and Chambers-Mallows-Stuck each take two counter slots per
+    # variate, on a single stream and on a block of streams; the draw after
+    # them is the draw of a fresh stream started at counter 2n.
+    sample = _SAMPLERS[name]
+    stream_id = np.array(ids, dtype=np.uint64) if isinstance(ids, list) else ids
+    stream = substream(seed, stream_id)
+    with np.errstate(all="ignore"):
+        sample(stream, n)
+        assert stream.counter == 2 * n
+        after = sample(stream, 3)
+        fresh = sample(RngStream(seed, stream_id, counter=2 * n), 3)
+    assert stream.counter == 2 * n + 6
+    assert after.tobytes() == fresh.tobytes()
 
 
 def test_block_stream_ids_validated():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stokit import (DomainError, HeatmapBundle, LineBundle, Series,
-                    render_panels, render_svg)
+                    render_panels, render_svg, svgplot)
 
 
 def one_series(name="unit"):
@@ -95,3 +98,79 @@ def test_constant_series_renders():
     s = Series("flat", np.array([0.0, 1.0]), np.array([2.0, 2.0]))
     svg = render_svg(LineBundle("t", "x", "y", (s,)))
     assert svg.count("<polyline") == 1
+
+
+def _ramp_color(t):
+    """The scalar color rule, one t at a time."""
+    ramp = svgplot._RAMP
+    for (t0, c0), (t1, c1) in zip(ramp, ramp[1:]):
+        if t <= t1:
+            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+            r, g, b = (round(a + w * (b_ - a)) for a, b_ in zip(c0, c1))
+            return f"#{r:02x}{g:02x}{b:02x}"
+    r, g, b = ramp[-1][1]
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def _per_cell_rects(values):
+    """The heatmap's cells, each formatted from its own expressions."""
+    fmt = svgplot._fmt
+    n_rows, n_cols = values.shape
+    v_lo, v_hi = float(values.min()), float(values.max())
+    span = v_hi - v_lo
+    cell_w, cell_h = svgplot._PLOT_W / n_cols, svgplot._PLOT_H / n_rows
+    rects = []
+    for i in range(n_rows):
+        cy = svgplot._BASE_Y - (i + 1) * cell_h
+        for j in range(n_cols):
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = 0.5 if span == 0.0 else (values[i, j] - v_lo) / span
+            rects.append(
+                f'<rect class="cell" x="{fmt(svgplot._MARGIN_L + j * cell_w)}" '
+                f'y="{fmt(cy)}" width="{fmt(cell_w)}" height="{fmt(cell_h)}" '
+                f'fill="{_ramp_color(float(t))}"/>')
+    return rects
+
+
+# Cell values at the ramp knots and their neighbours; a grid holding both 0
+# and 1 has exactly these values as its t.
+_KNOT_VALUES = sorted({v for k in (0.0, 0.25, 0.5, 0.75, 1.0)
+                       for v in (np.nextafter(k, -1.0), k, np.nextafter(k, 2.0))
+                       if 0.0 <= v <= 1.0})
+_GRID_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 6))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _unit_span(values):
+    values.flat[0], values.flat[-1] = 0.0, 1.0
+    return values
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    arrays(np.float64, _GRID_SHAPES,
+           elements=st.sampled_from(_KNOT_VALUES)).map(_unit_span),
+    arrays(np.float64, _GRID_SHAPES, elements=st.one_of(
+        st.sampled_from(_KNOT_VALUES), st.floats(-4.0, 4.0), _FINITE))))
+@example(np.array(_KNOT_VALUES).reshape(1, -1))
+@example(np.full((3, 4), -2.5))
+@example(np.array([[7.0]]))
+@example(np.array([[-1e308, 1e308]]))
+@example(np.array([[-1e308, 0.0, 1e308], [5e307, -5e307, 1.0]]))
+def test_heatmap_cells_match_the_per_cell_rule(values):
+    # Every cell's x, y, width, height and fill equal the scalar per-cell
+    # expressions, including t on and next to the knots, a constant grid
+    # (t = 0.5), a 1 x 1 grid and a span that overflows to inf (NaN t).
+    with np.errstate(over="ignore", invalid="ignore"):
+        svg = render_svg(HeatmapBundle("t", "x", "y", (0.0, 1.0), (0.0, 1.0),
+                                       values))
+    cells = [line for line in svg.splitlines() if 'class="cell"' in line]
+    assert cells == _per_cell_rects(values)
+
+
+def test_ramp_colors_match_the_scalar_rule():
+    # Multiples of 2**-10 put channels exactly half way between integers,
+    # where rounding half to even and half up differ.
+    t = np.concatenate([_KNOT_VALUES, [np.nan], np.arange(1025) / 1024,
+                        np.random.default_rng(3).uniform(0.0, 1.0, 20000)])
+    assert svgplot._ramp_colors(t) == [_ramp_color(float(v)) for v in t]
