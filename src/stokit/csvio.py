@@ -1,9 +1,21 @@
 """CSV reading/writing with exact float round-trips.
 
 Files are UTF-8, comma-separated, LF line endings, mandatory header row, no
-trailing delimiter.  Values are rendered with 17 significant digits, which
-reproduces the double bit pattern on parse.  Tables are written and read in
-pieces of whole rows of about `_PIECE_CELLS` cells, so the memory beyond a
+trailing delimiter.  Numbers are written exactly as ``'%.17g' % x``, which
+reproduces the double bit pattern on parse; text cells as they are.
+
+Cells are formatted as whole arrays, not one by one.  A finite cell with
+``1e-4 <= |x| < 1e17`` is in ``%.17g``'s fixed notation (decimal exponent
+-4..16); its 17 digits come from the exact Dekker product ``|x| *
+10**(16 - e)`` rounded half to even, as ``%.17g`` rounds, and a 4-digit lookup
+table.  Each cell's bytes are laid into a fixed-width byte matrix, and one
+pass deletes the unused bytes.  Every other cell (0, -0, subnormals,
+``|x| < 1e-4``, ``|x| >= 1e17``, inf, nan, text, and the empty cells that pad
+a shorter column) is formatted by ``'%.17g' % x`` cell by cell.  The bytes are
+the same as ``'%.17g' % x`` for every cell.
+
+Tables are written and read in pieces of whole rows of about `_PIECE_CELLS`
+cells, and formatted `_SLICE_CELLS` cells at a time, so the memory beyond a
 table's own arrays is one piece, not the file's text.
 """
 
@@ -17,38 +29,184 @@ from .errors import SchemaError
 from .processes import Ensemble, TimeGrid
 
 _PIECE_CELLS = 2 ** 16  # cells in one piece of rows: 512 KB of float64
+_SLICE_CELLS = 2 ** 12  # cells formatted at once: ~90 bytes of temporaries each
 
 
-def _lines(header: list[str], columns):
-    """Yield `render_csv`'s lines, gathering a piece of rows at a time and
-    formatting each run of equally padded rows with one format string."""
+def _split(a):
+    """Veltkamp's split: ``a == hi + lo``, each half with at most 26 bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POWERS = 10.0 ** np.arange(21)  # 10**0 .. 10**20, all exact doubles
+_POWERS_HI, _POWERS_LO = _split(_POWERS)
+
+
+def _scaled(a, e):
+    """``(hi, lo)``: ``a * 10**(16 - e)`` rounded to a double, and the exact
+    rest (Dekker's product)."""
+    k = 16 - e
+    p_hi, p_lo = _POWERS_HI.take(k), _POWERS_LO.take(k)
+    hi = a * _POWERS.take(k)
+    del k
+    a_hi, a_lo = _split(a)
+    lo = a_hi * p_hi
+    np.subtract(hi, lo, out=lo)
+    lo -= np.multiply(a_lo, p_hi, out=p_hi)
+    lo -= np.multiply(a_hi, p_lo, out=a_hi)
+    return hi, np.subtract(np.multiply(a_lo, p_lo, out=a_lo), lo, out=lo)
+
+
+# A fixed-notation cell is laid into five 8-byte words: its sign, the "0.000"
+# that leads e < 0, its leading digit and a point slot, then four words of four
+# digits each followed by a point slot (`_QUADS`); the last slot holds the
+# separator.  Which of those bytes the cell drops depends only on its sign,
+# its decimal exponent e (-4..16) and the place of its last nonzero digit
+# (0..16).  A dropped byte is set to 0xFF, which no UTF-8 text contains, and
+# deleted at the end.
+_LEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """`_QUADS[q]`: the word of the four digits of q < 10**4, each followed
+    by a point.  `_LAST[k, q]`: the place of the last nonzero digit of a cell
+    whose k-th group of four digits after the leading one is q, or 0 if q
+    is 0."""
+    digits = np.arange(10 ** 4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    quads = np.full((10 ** 4, 8), ord("."), np.uint8)
+    quads[:, ::2] = digits + ord("0")
+    place = (np.arange(1, 5) * (digits != 0)).max(1)
+    last = np.where(place > 0, 4 * np.arange(4)[:, None] + place, 0)
+    return quads.view(np.uint64)[:, 0], last.astype(np.uint8)
+
+
+def _drop_table() -> np.ndarray:
+    """`_DROP[w, (negative * 21 + e + 4) * 17 + last]`: 0xFF in each byte of
+    word w that such a cell does not write."""
+    negative, e, last = np.ogrid[0:2, -4:17, 0:17]
+    keep = np.zeros((2, 21, 17, 40), bool)
+    keep[..., 0] = negative
+    keep[..., 1:6] = np.arange(5) < np.where(e < 0, 1 - e, 0)[..., None]
+    keep[..., 6::2] = np.arange(17) <= np.maximum(e, last)[..., None]
+    keep[..., 7::2] = np.arange(17) == np.where(last > e, e, -1)[..., None]
+    keep[..., -1] = True
+    drop = np.where(keep, 0, 0xFF).astype(np.uint8).reshape(-1, 40)
+    return np.ascontiguousarray(drop.view(np.uint64).T)
+
+
+_QUADS, _LAST = _quad_tables()
+_DROP = _drop_table()
+_FILL = np.uint64(2 ** 64 - 1)  # a word of dropped bytes
+
+
+def _seventeen_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(e, d)`` for each ``1e-4 <= a < 1e17``: ``d * 10**(e - 16)`` is ``a``
+    rounded to 17 significant digits, half to even, with ``10**16 <= d <
+    10**17``."""
+    e = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(e, -4, 16, out=e)
+    hi, lo = _scaled(a, e)
+    # log10 may round across a power of ten: make e exact.
+    fix = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.int8)
+    fix -= (hi < 1e16) | (hi == 1e16) & (lo < 0)
+    if fix.any():
+        e += fix
+        hi, lo = _scaled(a, e)
+    # hi >= 1e16 > 2**53 is an even integer, so rint's ties to even round
+    # hi + lo as %.17g does.  No double rounds up to 10**17: the largest one
+    # below a power of ten is more than 5e-17 of it below.
+    d = hi.astype(np.int64)
+    d += np.rint(lo, out=lo).astype(np.int64)
+    return e.astype(np.int8), d
+
+
+def _digit_words(d: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write the 17 digits ``d`` (consumed) into the last five words of
+    ``cells``; return the place of each one's last nonzero digit."""
+    lead = d // 10 ** 16
+    cells[:, -5] = _LEAD.take(lead)
+    d -= lead * 10 ** 16
+    del lead
+    last = np.zeros(d.size, np.intp)
+    for k, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1)):
+        quads = d // scale
+        d -= quads * scale
+        cells[:, k - 4] = _QUADS.take(quads)
+        np.maximum(last, _LAST[k].take(quads), out=last)
+    return last
+
+
+def _render(x: np.ndarray, seps: np.ndarray, words) -> bytearray:
+    """The bytes of the cells ``x``, each as ``'%.17g' % x`` followed by its
+    separator byte from ``seps``.  A cell whose entry in the object array
+    ``words`` (or None) is a str is that text instead."""
+    fixed = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e17)  # False for nan
+    e, d = _seventeen_digits(np.where(fixed, np.abs(x), 1.0))
+    other = np.flatnonzero(~fixed)
+    texts = ["%.17g" % v for v in x[other].tolist()]
+    if words is not None:
+        texts = [t if w is None else w for t, w in zip(texts, words[other].tolist())]
+    data = [text.encode("utf-8") for text in texts]
+    width = max(5, max(map(len, data), default=0) // 8 + 1)  # words per cell
+    out = bytearray(8 * width * x.size)
+    cells = np.frombuffer(out, np.uint64).reshape(x.size, width)
+    cells[:, :-5] = _FILL
+    code = _digit_words(d, cells)
+    code += 17 * (e + 4 + 21 * (x < 0))
+    for k in range(5):
+        cells[:, k - 5] |= _DROP[k].take(code)
+    if data:  # right-aligned against the separator
+        cells[other] = _FILL
+        lengths = np.array([len(b) for b in data])
+        ends = (other + 1) * (8 * width) - 1
+        at = np.arange(lengths.sum()) + np.repeat(ends - np.cumsum(lengths), lengths)
+        np.frombuffer(out, np.uint8)[at] = np.frombuffer(b"".join(data), np.uint8)
+    cells.view(np.uint8)[:, -1] = seps
+    del e, d, code, cells  # translate takes a second buffer as long as `out`
+    return out.translate(None, b"\xff")
+
+
+def _table_bytes(header: list[str], columns):
+    """Yield `render_csv`'s UTF-8 bytes: the header line, then each piece of
+    rows a slice of cells at a time."""
     lengths = [len(column) for column in columns]
     is_text = [isinstance(column[0], str) for column in columns]
-    padded = any(is_text) or min(lengths) < max(lengths)
-    step = max(1, _PIECE_CELLS // len(columns))
-    yield ",".join(header) + "\n"
-    runs = sorted(set(lengths))  # each run of rows ends where a column ends
-    for start, stop in zip([0, *runs], runs):
-        row_format = ",".join("%s" if text or n < stop else "%.17g"
-                              for text, n in zip(is_text, lengths)) + "\n"
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            table = np.empty((hi - lo, len(columns)), dtype=object if padded else float)
-            for j, (column, n) in enumerate(zip(columns, lengths)):
-                table[:, j] = column[lo:hi] if n >= stop else ""
-            for row in table:
-                yield row_format % tuple(row.tolist())
+    n_cols, n_rows = len(columns), max(lengths)
+    row_seps = np.full(n_cols, ord(","), np.uint8)
+    row_seps[-1] = ord("\n")
+    step = max(1, _PIECE_CELLS // n_cols)
+    yield (",".join(header) + "\n").encode("utf-8")
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        values = np.zeros((hi - lo, n_cols))
+        words = None
+        if any(is_text) or min(lengths) < hi:
+            words = np.full((hi - lo, n_cols), None, object)
+        for j, (column, text) in enumerate(zip(columns, is_text)):
+            part = column[lo:hi]
+            if text:
+                words[:len(part), j] = part
+            else:
+                values[:len(part), j] = part
+            if len(part) < hi - lo:
+                words[len(part):, j] = ""
+        values = values.reshape(-1)
+        for start in range(0, values.size, _SLICE_CELLS):
+            stop = min(start + _SLICE_CELLS, values.size)
+            yield _render(values[start:stop], row_seps[np.arange(start, stop) % n_cols],
+                          None if words is None else words.reshape(-1)[start:stop])
 
 
 def render_csv(header: list[str], columns) -> str:
     """Render a table given column by column: numbers as ``%.17g``, strings
     as they are, and empty cells past the end of a shorter column."""
-    return "".join(_lines(header, columns))
+    return "".join(piece.decode("utf-8") for piece in _table_bytes(header, columns))
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_lines(header, columns))
+    with open(path, "wb") as fh:
+        fh.writelines(_table_bytes(header, columns))
 
 
 def ensemble_table(ensemble: Ensemble) -> tuple[list[str], list]:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridError, SizeError, StabilityError
-from .rng import (_BUDGET, RngStream, _poisson_slot_block, sample_gaussian,
-                  sample_stable, substream)
+from .rng import (_BUDGET, RngStream, _check_stable_shape, _poisson_slot_block,
+                  sample_gaussian, sample_stable, substream)
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,7 @@ class Poisson(ProcessSpec):
 
 
 def _check_stable_params(alpha: float, beta: float, scale: float) -> None:
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    if not -1.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [-1, 1], got {beta}")
+    _check_stable_shape(alpha, beta)
     if scale <= 0.0:
         raise DomainError(f"scale must be > 0, got {scale}")
 

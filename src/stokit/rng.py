@@ -128,18 +128,33 @@ def sample_gaussian(stream: RngStream, n: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
 
 
+# Within this distance of alpha = 1, a skewed law in the one-parameterization
+# (S1) is near its pole: beta * tan(pi * alpha / 2) diverges, and the draws
+# jump by about 3e8 from their closed-form values at alpha = 1 (Nolan,
+# "Univariate Stable Distributions", 2020).
+_S1_POLE = 1e-6
+
+
+def _check_stable_shape(alpha: float, beta: float) -> None:
+    if not 0.0 < alpha <= 2.0:
+        raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
+    if not -1.0 <= beta <= 1.0:
+        raise DomainError(f"beta must lie in [-1, 1], got {beta}")
+    if beta != 0.0 and 0.0 < abs(alpha - 1.0) < _S1_POLE:
+        raise DomainError(f"alpha {alpha} lies within {_S1_POLE} of the S1 pole at 1 "
+                          f"with beta {beta} != 0; use alpha = 1 exactly")
+
+
 def sample_stable(stream: RngStream, alpha: float, beta: float, n: int) -> np.ndarray:
     """n standard stable variates (unit scale, zero location shift).
 
     Chambers-Mallows-Stuck construction in the one-parameterization: the
     alpha = 1 case uses its closed form, every other alpha the general
     formula.  alpha = 2 reduces to Normal(0, 2); alpha = 1, beta = 0 is
-    standard Cauchy.
+    standard Cauchy.  A skewed alpha with ``0 < |alpha - 1| < 1e-6`` is
+    refused: it is the S1 parameterization's pole.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    if not -1.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [-1, 1], got {beta}")
+    _check_stable_shape(alpha, beta)
     u = stream.uniforms(2 * _checked_count(n))
     angle = np.pi * (u[..., 0::2] - 0.5)     # uniform on (-pi/2, pi/2)
     expo = -np.log(u[..., 1::2])             # exponential(1)

@@ -57,6 +57,16 @@ class TestSimulateCommand:
                     "--out", tmp_path / "x.csv"])
         assert code == 2
 
+    def test_skewed_alpha_at_the_s1_pole_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "levy", "--alpha", "1.0000000001", "--beta", 0.5,
+                    "--scale", 1, "--t", 1, "--dt", 0.1, "--n", 2, "--out", out])
+        assert code == 2
+        assert "S1 pole" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["simulate", "levy", "--alpha", 1, "--beta", 0.5, "--scale", 1,
+                    "--t", 1, "--dt", 0.1, "--n", 2, "--out", out]) == 0
+
     def test_partial_step_horizon_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = run(["simulate", "brownian", "--t", 1, "--dt", 0.3, "--n", 2,

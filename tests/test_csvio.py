@@ -1,4 +1,5 @@
 import contextlib
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -209,3 +210,75 @@ def test_rows_lost_between_the_two_passes_are_reported():
     passes = iter([["time,inst_0", "0,1", "1,2", "2,3"], ["time,inst_0", "0,1", "1,2"]])
     with pytest.raises(SchemaError, match="file changed while being read"):
         csvio._parse_lines(lambda: iter(next(passes)), "src.csv")
+
+
+# --- whole-array formatting against the per-cell rule --------------------------
+
+def neighbours(x):
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+# 10**k for k in -6..18 as the nearest doubles, with the doubles on either
+# side: the decade boundaries where the exponent from log10 is corrected.
+POWERS_OF_TEN = [v for k in range(-6, 19) for v in neighbours(float(f"1e{k}"))]
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+           *neighbours(1e-4), *neighbours(1e17), 99999999999999999.0,
+           1000000000000000.25, 1000000000000000.75, 1.7976931348623157e308,
+           float("inf"), float("-inf"), float("nan")]
+
+bit_patterns = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+
+
+@st.composite
+def ties(draw):
+    """Doubles exactly halfway between two 17-digit decimals: an integer part
+    of 18 - j digits plus an odd multiple of 2**-j, whose j decimals end in 5."""
+    j = draw(st.integers(2, 17))
+    whole = draw(st.integers(10 ** (17 - j), min(10 ** (18 - j), 2 ** (53 - j)) - 1))
+    odd = 2 * draw(st.integers(0, 2 ** (j - 1) - 1)) + 1
+    return float(Fraction(whole * 2 ** j + odd, 2 ** j))
+
+
+signed = st.tuples(st.one_of(ties(), st.sampled_from(POWERS_OF_TEN),
+                             st.floats(1e-4, 1e17)),
+                   st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+cells = st.one_of(bit_patterns, signed, st.sampled_from(SPECIAL), st.floats())
+
+
+@given(st.lists(st.lists(cells, min_size=1, max_size=9), min_size=1, max_size=4),
+       st.integers(1, 3), st.integers(1, 7))
+def test_every_cell_is_its_percent_17g(cols, piece, slice_cells):
+    """Columns of unequal length are padded as fig1's; pieces of 1-3 rows are
+    formatted in slices of 1-7 cells."""
+    header = [f"c{j}" for j in range(len(cols))]
+    with pieces(piece, len(cols)), mock.patch.object(csvio, "_SLICE_CELLS", slice_cells):
+        assert render_csv(header, cols) == per_cell(header, cols)
+
+
+def test_decade_boundaries_ties_and_specials():
+    values = POWERS_OF_TEN + SPECIAL
+    values += [-v for v in values]
+    assert render_csv(["x"], [values]) == per_cell(["x"], [values])
+    assert render_csv(["x"], [[1000000000000000.25, 1000000000000000.75,
+                               99999999999999999.0]]) == (
+        "x\n1000000000000000.2\n1000000000000000.8\n1e+17\n")
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=9),
+       st.integers(1, 3), st.data())
+def test_int_and_text_columns_match_per_cell_rule(tmp_path, ints, piece, data):
+    """Python and numpy ints are formatted as the doubles ``%.17g`` makes
+    of them; text, including text longer than a numeric cell, as it is."""
+    words = data.draw(st.lists(st.text(min_size=0, max_size=50), min_size=1,
+                               max_size=len(ints)))
+    short = data.draw(st.lists(cells, min_size=1, max_size=len(ints)))
+    cols = [words, ints, np.array(ints), short]
+    header = ["w", "i", "n", "f"]
+    path = tmp_path / "t.csv"
+    with pieces(piece, len(cols)):
+        rendered = render_csv(header, cols)
+        write_csv(path, header, cols)
+    assert rendered == per_cell(header, cols)
+    assert path.read_bytes() == rendered.encode("utf-8")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from stokit import (Brownian, DomainError, Ensemble,
@@ -63,6 +66,19 @@ class TestQuantileFan:
             quantile_fan(make_ensemble(np.ones((1, 3))))
 
 
+def ensemble_values(elements):
+    """Instances x timepoints matrices of at least 2 instances."""
+    shapes = st.tuples(st.integers(2, 9), st.integers(2, 6))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
+
+
+@given(ensemble_values(st.floats(-1e300, 1e300)),
+       st.lists(st.floats(1e-6, 1 - 1e-6), min_size=1, max_size=8, unique=True))
+def test_fan_never_decreases_with_the_level(values, levels):
+    fan = quantile_fan(make_ensemble(values), sorted(levels))
+    assert np.all(np.diff(fan.curves, axis=0) >= 0.0)
+
+
 class TestSummaryCurves:
     def test_constant_ensemble(self):
         s = summary_curves(make_ensemble(np.full((4, 5), 2.0)))
@@ -92,6 +108,11 @@ class TestSummaryCurves:
     def test_positivity_error(self):
         with pytest.raises(PositivityError):
             summary_curves(make_ensemble(np.array([[1.0, -1.0], [2.0, 3.0]])))
+
+    @given(ensemble_values(st.floats(1e-100, 1e100)))
+    def test_am_at_least_gm_on_positive_ensembles(self, values):
+        s = summary_curves(make_ensemble(values))
+        assert np.all(s.arithmetic_mean >= s.geometric_mean * (1.0 - 1e-12))
 
 
 class TestGrowthRates:

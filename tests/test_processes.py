@@ -26,6 +26,10 @@ class TestSpecs:
             LevyStable(alpha=2.5, beta=0.0, scale=1.0)
         with pytest.raises(DomainError):
             GeometricLevy(alpha=1.5, beta=0.0, scale=0.0)
+        with pytest.raises(DomainError):  # the S1 pole
+            LevyStable(alpha=1.0 + 1e-9, beta=0.5, scale=1.0)
+        with pytest.raises(DomainError):
+            GeometricLevy(alpha=1.0 - 1e-9, beta=-0.2, scale=0.3)
         with pytest.raises(DomainError):
             OrnsteinUhlenbeck(theta=0.0, mean=0.0, scale=1.0, x0=0.0)
         with pytest.raises(DomainError):

@@ -140,6 +140,17 @@ def test_stable_rejects_bad_params():
         sample_stable(substream(1, 0), 1.5, 1.5, 10)
 
 
+@pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 9e-7, 1.0 - 9e-7])
+def test_stable_refuses_the_s1_pole_when_skewed(alpha):
+    """Near alpha = 1 a skewed S1 draw jumps by ~1e8 from the closed form at
+    alpha = 1 (medians of 20001 draws: 0.21 at 1, -3.2e8 at 1 + 1e-9)."""
+    with pytest.raises(DomainError, match="S1 pole"):
+        sample_stable(substream(1, 0), alpha, 0.5, 10)
+    symmetric = sample_stable(substream(1, 0), alpha, 0.0, 20001)
+    assert abs(np.median(symmetric)) < 0.05
+    assert abs(np.median(sample_stable(substream(1, 0), 1.0, 0.5, 20001)) - 0.21) < 0.05
+
+
 def test_stable_deterministic():
     a = sample_stable(substream(5, 2), 1.7, -0.3, 1000)
     b = sample_stable(substream(5, 2), 1.7, -0.3, 1000)
