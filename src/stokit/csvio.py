@@ -21,6 +21,7 @@ table's own arrays is one piece, not the file's text.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -46,11 +47,10 @@ _POWERS_HI, _POWERS_LO = _split(_POWERS)
 def _scaled(a, e):
     """``(hi, lo)``: ``a * 10**(16 - e)`` rounded to a double, and the exact
     rest (Dekker's product)."""
-    k = 16 - e
-    p_hi, p_lo = _POWERS_HI.take(k), _POWERS_LO.take(k)
-    hi = a * _POWERS.take(k)
-    del k
+    p_hi, p_lo = _POWERS_HI.take(16 - e), _POWERS_LO.take(16 - e)
+    hi = a * _POWERS.take(16 - e)
     a_hi, a_lo = _split(a)
+    # lo = a_lo*p_lo - (((hi - a_hi*p_hi) - a_lo*p_hi) - a_hi*p_lo), in place
     lo = a_hi * p_hi
     np.subtract(hi, lo, out=lo)
     lo -= np.multiply(a_lo, p_hi, out=p_hi)
@@ -59,31 +59,26 @@ def _scaled(a, e):
 
 
 # A fixed-notation cell is laid into five 8-byte words: its sign, the "0.000"
-# that leads e < 0, its leading digit and a point slot, then four words of four
-# digits each followed by a point slot (`_QUADS`); the last slot holds the
-# separator.  Which of those bytes the cell drops depends only on its sign,
-# its decimal exponent e (-4..16) and the place of its last nonzero digit
-# (0..16).  A dropped byte is set to 0xFF, which no UTF-8 text contains, and
-# deleted at the end.
+# that leads e < 0, its leading digit and a point slot, then the other 16
+# digits, each followed by a point slot, from `_PAIRS`; the last slot holds
+# the separator.  Which of those bytes the cell drops depends only on its
+# sign, its decimal exponent e (-4..16) and the place of its last nonzero
+# digit (0..16).  A dropped byte is set to 0xFF, which no UTF-8 text
+# contains, and deleted at the end.
 _LEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+_PAIRS = np.frombuffer(b"".join(b"%c.%c." % tuple(b"%02d" % p) for p in range(100)),
+                       np.uint32)
+# `_LAST[k, p]`: the place of the last nonzero digit of a cell whose k-th pair
+# of digits after the leading one is p, or 0 if p is 0.
+_LAST = np.array([[2 * k + 2 if p % 10 else 2 * k + 1 if p else 0 for p in range(100)]
+                  for k in range(8)], np.uint8)
 
 
-def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
-    """`_QUADS[q]`: the word of the four digits of q < 10**4, each followed
-    by a point.  `_LAST[k, q]`: the place of the last nonzero digit of a cell
-    whose k-th group of four digits after the leading one is q, or 0 if q
-    is 0."""
-    digits = np.arange(10 ** 4)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    quads = np.full((10 ** 4, 8), ord("."), np.uint8)
-    quads[:, ::2] = digits + ord("0")
-    place = (np.arange(1, 5) * (digits != 0)).max(1)
-    last = np.where(place > 0, 4 * np.arange(4)[:, None] + place, 0)
-    return quads.view(np.uint64)[:, 0], last.astype(np.uint8)
-
-
+@functools.cache
 def _drop_table() -> np.ndarray:
-    """`_DROP[w, (negative * 21 + e + 4) * 17 + last]`: 0xFF in each byte of
-    word w that such a cell does not write."""
+    """``[w, (negative * 21 + e + 4) * 17 + last]``: 0xFF in each byte of
+    word w that such a cell does not write.  Built on first use, so that runs
+    which write no CSV do not hold it."""
     negative, e, last = np.ogrid[0:2, -4:17, 0:17]
     keep = np.zeros((2, 21, 17, 40), bool)
     keep[..., 0] = negative
@@ -91,12 +86,10 @@ def _drop_table() -> np.ndarray:
     keep[..., 6::2] = np.arange(17) <= np.maximum(e, last)[..., None]
     keep[..., 7::2] = np.arange(17) == np.where(last > e, e, -1)[..., None]
     keep[..., -1] = True
-    drop = np.where(keep, 0, 0xFF).astype(np.uint8).reshape(-1, 40)
-    return np.ascontiguousarray(drop.view(np.uint64).T)
+    drop = (np.uint8(0xFF) * ~keep).reshape(-1, 40).view(np.uint64)
+    return np.ascontiguousarray(drop.T)
 
 
-_QUADS, _LAST = _quad_tables()
-_DROP = _drop_table()
 _FILL = np.uint64(2 ** 64 - 1)  # a word of dropped bytes
 
 
@@ -128,12 +121,14 @@ def _digit_words(d: np.ndarray, cells: np.ndarray) -> np.ndarray:
     cells[:, -5] = _LEAD.take(lead)
     d -= lead * 10 ** 16
     del lead
+    halves = cells.view(np.uint32)[:, -8:]
     last = np.zeros(d.size, np.intp)
-    for k, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1)):
-        quads = d // scale
-        d -= quads * scale
-        cells[:, k - 4] = _QUADS.take(quads)
-        np.maximum(last, _LAST[k].take(quads), out=last)
+    for k in range(8):
+        scale = 10 ** (14 - 2 * k)
+        pair = d // scale
+        d -= pair * scale
+        halves[:, k] = _PAIRS.take(pair)
+        np.maximum(last, _LAST[k].take(pair), out=last)
     return last
 
 
@@ -141,6 +136,7 @@ def _render(x: np.ndarray, seps: np.ndarray, words) -> bytearray:
     """The bytes of the cells ``x``, each as ``'%.17g' % x`` followed by its
     separator byte from ``seps``.  A cell whose entry in the object array
     ``words`` (or None) is a str is that text instead."""
+    drop_table = _drop_table()  # built, once, before this slice's arrays
     fixed = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e17)  # False for nan
     e, d = _seventeen_digits(np.where(fixed, np.abs(x), 1.0))
     other = np.flatnonzero(~fixed)
@@ -154,8 +150,8 @@ def _render(x: np.ndarray, seps: np.ndarray, words) -> bytearray:
     cells[:, :-5] = _FILL
     code = _digit_words(d, cells)
     code += 17 * (e + 4 + 21 * (x < 0))
-    for k in range(5):
-        cells[:, k - 5] |= _DROP[k].take(code)
+    for k, drop in enumerate(drop_table):
+        cells[:, k - 5] |= drop.take(code)
     if data:  # right-aligned against the separator
         cells[other] = _FILL
         lengths = np.array([len(b) for b in data])

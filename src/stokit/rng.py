@@ -129,9 +129,9 @@ def sample_gaussian(stream: RngStream, n: int) -> np.ndarray:
 
 
 # Within this distance of alpha = 1, a skewed law in the one-parameterization
-# (S1) is near its pole: beta * tan(pi * alpha / 2) diverges, and the draws
-# jump by about 3e8 from their closed-form values at alpha = 1 (Nolan,
-# "Univariate Stable Distributions", 2020).
+# (S1) is near its pole: beta * tan(pi * alpha / 2) diverges, and with
+# beta = 0.5 the median draw moves from 0.21 at alpha = 1 to about -3e8 at
+# 1 + 1e-9 (Nolan, "Univariate Stable Distributions", 2020).
 _S1_POLE = 1e-6
 
 
