@@ -7,12 +7,21 @@ reproduces the double bit pattern on parse; text cells as they are.
 Cells are formatted as whole arrays, not one by one.  A finite cell with
 ``1e-4 <= |x| < 1e17`` is in ``%.17g``'s fixed notation (decimal exponent
 -4..16); its 17 digits come from the exact Dekker product ``|x| *
-10**(16 - e)`` rounded half to even, as ``%.17g`` rounds, and a 4-digit lookup
-table.  Each cell's bytes are laid into a fixed-width byte matrix, and one
+10**(16 - e)`` rounded half to even, as ``%.17g`` rounds, and 2-digit lookup
+tables.  Each cell's bytes are laid into a fixed-width byte matrix, and one
 pass deletes the unused bytes.  Every other cell (0, -0, subnormals,
 ``|x| < 1e-4``, ``|x| >= 1e17``, inf, nan, text, and the empty cells that pad
 a shorter column) is formatted by ``'%.17g' % x`` cell by cell.  The bytes are
 the same as ``'%.17g' % x`` for every cell.
+
+Cells are parsed as whole arrays too.  A cell such as ``%.17g`` writes,
+``-?D+(.D+)?(e[+-]D{1,3})?`` with at most 19 significant digits, is read
+right-aligned in three 8-byte words; its digits become an integer by SWAR
+arithmetic, and Eisel–Lemire's product with a 128-bit table of 5**q rounds it
+to the nearest double, as ``np.loadtxt`` does.  A piece of rows with any
+other cell, or with a subnormal, overflowing or too-close-to-call value, goes
+to ``np.loadtxt`` as before, so every file parses to the same bits or fails
+with the same error.
 
 Tables are written and read in pieces of whole rows of about `_PIECE_CELLS`
 cells, and formatted `_SLICE_CELLS` cells at a time, so the memory beyond a
@@ -31,6 +40,7 @@ from .processes import Ensemble, TimeGrid
 
 _PIECE_CELLS = 2 ** 16  # cells in one piece of rows: 512 KB of float64
 _SLICE_CELLS = 2 ** 12  # cells formatted at once: ~90 bytes of temporaries each
+_WINDOW = 24  # bytes of a cell's number before its exponent that the parse reads
 
 
 def _split(a):
@@ -214,12 +224,187 @@ def ensemble_to_csv(ensemble: Ensemble) -> str:
     return render_csv(*ensemble_table(ensemble))
 
 
+# The parse kernel reads each cell's number before its exponent right-aligned
+# in a window of `_WINDOW` bytes: window place j is byte j % 8 of word j // 8.
+_EACH = 0x0101010101010101  # times a byte: that byte in each byte of a word
+# `_KEEP[k, i]`: 0xFF in each byte of word k from window place i on.
+_KEEP = np.array([[2 ** 64 - 2 ** (8 * min(max(i - 8 * k, 0), 8))
+                   for i in range(_WINDOW + 1)] for k in range(3)], np.uint64)
+
+
+@functools.cache
+def _pow5_limbs() -> np.ndarray:
+    """Column q + 342 for q in -342..308: 5**q scaled to 128 bits, truncated
+    for q >= 0 and rounded up for q < 0 as in Eisel–Lemire's table, as its high
+    and low 64 bits.  Built on first use, as `_drop_table` is."""
+    limbs = np.empty((2, 651), np.uint64)
+    for q in range(-342, 309):
+        z = (5 ** -q).bit_length() if q < 0 else 0
+        c = (5 ** q << 128 if q >= 0 else
+             2 ** (z + 127 if q >= -27 else 2 * z + 128) // 5 ** -q + 1)
+        c >>= c.bit_length() - 128
+        limbs[:, q + 342] = c >> 64, c & 2 ** 64 - 1
+    return limbs
+
+
+def _high(a, b):
+    """The high 64 bits of the 128-bit products of uint64 ``a`` and ``b``
+    (overwritten), from four 32 x 32-bit products."""
+    a1, a0, b1 = a >> 32, a & 0xFFFFFFFF, b >> 32
+    b &= 0xFFFFFFFF
+    hi = a1 * b1
+    a1 *= b  # the cross products, then a0 * b0 in b
+    b1 *= a0
+    b *= a0
+    b >>= 32  # the middle 64 bits, whose high half carries into hi
+    for cross in (a1, b1):
+        hi += np.right_shift(cross, 32, out=a0)
+        b += np.bitwise_and(cross, 0xFFFFFFFF, out=a0)
+    hi += np.right_shift(b, 32, out=a0)
+    return hi
+
+
+def _parse_cells(lines: list[str], n_columns: int):
+    """The float64 cells of ``lines`` in file order, if each line has
+    ``n_columns`` cells and each cell matches ``-?D+(.D+)?(e[+-]D{1,3})?`` with
+    at most 19 significant digits and a zero or normal finite value; else None.
+    Values are rounded correctly, as loadtxt rounds them."""
+    text = "\n".join([" " * _WINDOW, *lines, ""])  # the pad keeps windows in the buffer
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(raw := text.encode("ascii"), np.uint8)
+    del text
+    seps = buf == ord(",")  # cell i lies between separators seps[i] and seps[i + 1]
+    seps = np.flatnonzero(np.logical_or(seps, buf == ord("\n"), out=seps))
+    n = seps.size - 1
+    if (n != len(lines) * n_columns
+            or (buf[seps[n_columns::n_columns]] != ord("\n")).any()):
+        return None
+    lead = seps[:-1] - seps[1:] + (_WINDOW + 1)  # the window place of a cell's first byte
+    negative = buf[seps[:-1] + 1] == ord("-")
+    q = np.zeros(n, np.int16)  # a cell is its digits' integer w times 10**q
+    if b"e" in raw:  # an exponent: 'e', a sign and one to three digits
+        e = np.flatnonzero(buf == ord("e"))
+        cell = np.searchsorted(seps, e) - 1
+        end, sign = seps[cell + 1], buf[e + 1]
+        n_digits = end - e - 2
+        digits = np.lib.stride_tricks.sliding_window_view(buf, 3)[end - 3] - ord("0")
+        digits[np.arange(3) < 3 - n_digits[:, None]] = 0
+        if ((n_digits < 1) | (n_digits > 3) | (sign != ord("+")) & (sign != ord("-"))
+                | (digits > 9).any(axis=1)).any():
+            return None
+        exponent = digits @ np.array([100, 10, 1], np.int16)
+        q[cell] = np.where(sign == ord("-"), -exponent, exponent)
+        lead[cell] += end - e
+        seps[cell + 1] = e  # the window ends before the 'e'
+    bad = (lead < 0) | (lead + negative >= _WINDOW)  # longer than the window, or no digit
+    lead = np.clip(lead + negative, 0, _WINDOW).astype(np.int8)  # the first digit's place
+    seps -= _WINDOW
+    windows = np.ndarray((buf.size - _WINDOW + 1, 3), np.uint64, raw, strides=(1, 8))
+    v = np.empty((3, n), np.uint64)  # v[k, i]: word k of cell i's window
+    for k in range(3):
+        v[k] = windows[seps[1:], k]
+    del seps, windows, buf, raw
+    # Digits become the bytes 0-9 and the point 0x1E, the bytes before the
+    # first digit 0.  Bit j of `points` is set if window place j holds a point.
+    v ^= _EACH * ord("0")
+    points, t = np.zeros(n, np.uint64), np.empty(n, np.uint64)
+    for k in range(3):
+        v[k] &= _KEEP[k].take(lead)
+        np.bitwise_xor(v[k], _EACH * 0x1E, out=t)
+        t += _EACH * 0x7F  # top bit clear in a point's byte only; gather those bits
+        points |= (~t & _EACH * 0x80) * 0x2040810204081 >> 56 << 8 * k
+    dot = np.bitwise_count(points ^ (points - 1)) & 31  # 1 + the point's place, or 0
+    bad |= (dot == lead + 1) | (dot == _WINDOW)  # no digit before or after the point
+    q -= np.where(dot, _WINDOW - dot, 0)  # the digits after the point
+    del points, lead
+    w, above = np.zeros(n, np.uint64), np.zeros(n, np.uint64)
+    for k in (2, 1, 0):
+        x = v[k]  # delete the point: the bytes before it move one place on
+        np.left_shift(x, 8, out=t)
+        if k:
+            t |= v[k - 1] >> 56
+        x ^= t
+        x &= _KEEP[k].take(dot)
+        x ^= t
+        above |= (x + _EACH * 0x76) | x  # top bit set in a byte above 9
+        x *= 2561  # eight digits to an integer: pairs, then halves of four
+        x >>= 8
+        np.right_shift(x, 16, out=t)
+        t &= 0xFF000000FF
+        t *= 1 + (10000 << 32)
+        x &= 0xFF000000FF
+        x *= 100 + (1000000 << 32)
+        x += t
+        x >>= 32
+        if not k:
+            bad |= x >= 1000  # more than 19 digits
+        w += x * 10 ** (16 - 8 * k)
+    bad |= (above & _EACH * 0x80).astype(bool)
+    del v, x, t, above, dot
+    zero = w == 0
+    w |= zero
+    return _eisel_lemire(w, q, negative, zero, bad)
+
+
+def _eisel_lemire(w, q, negative, zero, bad):
+    """The doubles ``(-1)**negative * w * 10**q``, correctly rounded (Lemire,
+    "Number parsing at a gigabyte per second", 2021), or None if `bad` or any
+    nonzero one is not normal and finite or is too close to call."""
+    scale = w.astype(np.float64).view(np.uint64) >> 52  # 1022 + w's bits, or 1023 +
+    w <<= 1086 - scale
+    fix = (w >> 63) ^ 1
+    w <<= fix  # normalized: the top bit is set
+    scale = (scale - fix).astype(np.int16)  # 1086 - the shift
+    power = np.clip(q + 342, 0, 650)
+    bad |= power != q + 342
+    limbs = _pow5_limbs()
+    hi = _high(w, limbs[0].take(power))
+    # Bits below the mantissa that are all 1 may carry from the low half of
+    # 5**q, and all 0 may be a halfway case: both are redone exactly.
+    if (near := np.flatnonzero(hi + 1 & 0x1FF <= 1)).size:
+        x, p, h = w[near], power[near], hi[near]
+        lo = x * limbs[0].take(p)
+        extra = _high(x, limbs[1].take(p)) * (h & 0x1FF == 0x1FF)
+        lo += extra
+        h += lo < extra
+        bad[near] |= (h & 0x1FF == 0x1FF) & (lo == 2 ** 64 - 1)  # too close to call
+        hi[near] = h
+    upper = hi >> 63
+    mantissa = np.right_shift(hi, 9 + upper, out=w)
+    if near.size:  # exactly halfway between two doubles: to even, not up
+        m = mantissa[near]
+        tie = (lo <= 1) & (q[near] >= -4) & (q[near] <= 23) & (m & 3 == 1)
+        mantissa[near] = m & ~(tie & (m << 9 + (h >> 63) == h)).astype(np.uint64)
+    exponent = np.multiply(q, np.int64(217706), out=hi.view(np.int64))
+    exponent >>= 16  # floor(log2(10**q))
+    exponent += upper.view(np.int64)
+    exponent += scale
+    bad |= (exponent < 1) & ~zero
+    carry = np.bitwise_and(mantissa, 1, out=upper)  # round half up to 53 bits
+    mantissa += carry
+    mantissa >>= 1
+    np.right_shift(mantissa, 53, out=carry)
+    mantissa >>= carry
+    exponent += carry.view(np.int64)
+    bad |= (exponent > 2046) & ~zero
+    if bad.any():
+        return None
+    mantissa &= 2 ** 52 - 1
+    mantissa |= exponent.view(np.uint64) << 52
+    mantissa[zero] = 0
+    mantissa[negative] |= 1 << 63
+    return mantissa.view(np.float64)
+
+
 def _parse_piece(piece: list, header: list[str], source: str) -> np.ndarray:
     """Parse ``(file line number, line)`` rows; raise at the first faulty one."""
+    lines = [line for _, line in piece]
+    if (block := _parse_cells(lines, len(header))) is not None:
+        return block.reshape(len(lines), -1)
     error = None
     try:
-        block = np.loadtxt([line for _, line in piece], delimiter=",",
-                           comments=None, ndmin=2)
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         if block.shape[1] == len(header) and np.isfinite(block).all():
             return block
     except ValueError as exc:
@@ -229,8 +414,11 @@ def _parse_piece(piece: list, header: list[str], source: str) -> np.ndarray:
             raise SchemaError(f"{source}:{number}: expected {len(header)} columns, "
                               f"got {len(cells)}")
         for name, cell in zip(header, cells):
-            try:
-                value = float(cell)
+            text = cell.strip()
+            try:  # loadtxt's numbers: float()'s without "_" or non-ASCII digits
+                if not text.isascii() or "_" in text:
+                    raise ValueError(text)
+                value = float(text)
             except ValueError:
                 raise SchemaError(f"{source}:{number}: bad value {cell!r} "
                                   f"in column {name!r}") from None
@@ -280,9 +468,12 @@ def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     """Parse the `time,inst_0,...` schema back into an Ensemble.
 
     Every cell must be a finite number; errors in a row name its file line as
-    ``source:LINE:``.  The returned ensemble carries no spec/seed provenance.
+    ``source:LINE:``.  Lines end in LF, CRLF or CR, as `read_ensemble_csv`
+    reads them.  The returned ensemble carries no spec/seed provenance.
     """
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, not a line of its own
     return _parse_lines(lambda: iter(lines), source)
 
 

@@ -89,6 +89,10 @@ FILE_LINE_ERRORS = [
     ("time,inst_0\n0,1\n\nnan,2\n", "src.csv:4: non-finite value nan in column 'time'"),
     ("time,inst_0\n\n0,1\n1,2\n\n2,-inf\n",
      "src.csv:6: non-finite value -inf in column 'inst_0'"),
+    # float() takes these, loadtxt does not.
+    ("time,inst_0\n0,1\n\n1,2\n2,1_0\n", "src.csv:5: bad value '1_0' in column 'inst_0'"),
+    ("time,inst_0\n0,1\n\n1,2\n2,\uff12\n",
+     "src.csv:5: bad value '\uff12' in column 'inst_0'"),
 ]
 
 
@@ -97,6 +101,21 @@ def test_errors_name_the_file_line(text, message):
     with pytest.raises(SchemaError) as info:
         parse_ensemble_csv(text, source="src.csv")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("brk", ["\x1c", "\x0b", "\x0c", "\x1e", "\x85", "\u2028"])
+def test_only_lf_crlf_and_cr_end_a_line(tmp_path, brk):
+    """Both entry points split lines where a file is split, not where
+    str.splitlines would also split."""
+    text = f"time,inst_0\n0,1{brk}0.01,2\n"
+    path = tmp_path / "src.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as from_text:
+        parse_ensemble_csv(text, source="src.csv")
+    with pytest.raises(SchemaError) as from_file:
+        read_ensemble_csv(path)
+    assert str(from_text.value) == "src.csv:2: expected 2 columns, got 3"
+    assert str(from_file.value) == f"{path}:2: expected 2 columns, got 3"
 
 
 # --- pieces of rows -----------------------------------------------------------
@@ -175,12 +194,17 @@ def test_crlf_file_parses_like_lf(tmp_path):
                      "--t", "2", "--dt", "0.01", "--n", "7", "--seed", "3",
                      "--out", str(lf)]) == 0
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    cr = tmp_path / "cr.csv"
+    cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
     with pieces(8, 8):
         a, b = read_ensemble_csv(lf), read_ensemble_csv(crlf)
         c = parse_ensemble_csv(crlf.read_bytes().decode("utf-8"))
+        d = read_ensemble_csv(cr)
+        e = parse_ensemble_csv(cr.read_bytes().decode("utf-8"))
     assert b"\r\n" in crlf.read_bytes()
     assert a.values.tobytes() == b.values.tobytes() == c.values.tobytes()
-    assert a.grid == b.grid == c.grid
+    assert a.values.tobytes() == d.values.tobytes() == e.values.tobytes()
+    assert a.grid == b.grid == c.grid == d.grid == e.grid
 
 
 @pytest.mark.parametrize("piece", [1, 2, None])  # rows per piece; None: real size
@@ -282,3 +306,116 @@ def test_int_and_text_columns_match_per_cell_rule(tmp_path, ints, piece, data):
         write_csv(path, header, cols)
     assert rendered == per_cell(header, cols)
     assert path.read_bytes() == rendered.encode("utf-8")
+
+
+# --- whole-array parsing against loadtxt ----------------------------------------
+
+def loadtxt(lines):
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+no_loadtxt = mock.patch.object(np, "loadtxt",
+                               side_effect=AssertionError("loadtxt called"))
+
+
+def kernel_is_loadtxt_or_declines(cells):
+    """Parse ``cells`` as one row and as one column: the kernel's bits equal
+    loadtxt's, or it declines the table.  Return whether it took both."""
+    took = True
+    for lines, n_columns in (([",".join(cells)], len(cells)), (cells, 1)):
+        got = csvio._parse_cells(lines, n_columns)
+        if got is None:
+            took = False
+        else:
+            assert got.tobytes() == loadtxt(lines).tobytes()
+    return took
+
+
+def midpoint_neighbours(x, delta, negative, point):
+    """A 19-digit decimal ``delta`` units in its last digit from the exact
+    midpoint between x and the next double up."""
+    mid = (Fraction(x) + Fraction(float(np.nextafter(x, np.inf)))) / 2
+    e = int(np.floor(np.log10(x)))  # then made mid's decimal exponent
+    while mid >= Fraction(10) ** (e + 1):
+        e += 1
+    while mid < Fraction(10) ** e:
+        e -= 1
+    digits = str(round(mid / Fraction(10) ** (e - 18)) + delta)
+    text = (f"{digits[0]}.{digits[1:]}e{e:+03d}" if point
+            else f"{digits}e{e - len(digits) + 1:+03d}")
+    return "-" + text if negative else text
+
+
+normal_doubles = st.floats(min_value=2.2250738585072014e-308, max_value=1.7e308)
+doubles = st.one_of(bit_patterns, st.floats())
+formatted = st.one_of(
+    doubles.map(lambda x: "%.17g" % x),
+    st.tuples(doubles, st.integers(1, 19)).map(lambda t: "%.*g" % (t[1], t[0])),
+    doubles.map(lambda x: "%e" % x),
+    doubles.map(repr),
+    st.builds(midpoint_neighbours, normal_doubles,
+              st.integers(-1, 1), st.booleans(), st.booleans()),
+    # integers exactly halfway between two doubles, which round to even
+    st.builds(lambda m, j: str((2 * m + 1) << j), st.integers(2 ** 52, 2 ** 53 - 1),
+              st.integers(0, 9)),
+    st.sampled_from(["2.2250738585072014e-308", "1.7976931348623157e+308",
+                     "9007199254740993", "0", "-0", "-0.0", "0e+00", "1e+5"]))
+
+
+@given(st.lists(formatted, min_size=1, max_size=6))
+def test_kernel_is_loadtxt_or_declines(cells):
+    kernel_is_loadtxt_or_declines(cells)
+
+
+@pytest.mark.parametrize("cell", ["2.2250738585072014e-308", "1.7976931348623157e+308",
+                                  "9007199254740993", "-0", "0.00012345678901234567",
+                                  "1234567890123456789", "-1.234567890123456789e-100"])
+def test_kernel_takes_edge_cells(cell):
+    assert kernel_is_loadtxt_or_declines(["1.5", cell])
+
+
+@pytest.mark.parametrize("cell", [
+    "1E5", "+1", " 1.5", "1.5 ", ".5", "-.5", "5.", "1.2.3", "--1", "1-2", "1e5", "1e+",
+    "1e+1234", "1e500", "1e-400", "4.9e-324", "2.2250738585072009e-308",
+    "12345678901234567890", "1.2345678901234567890e+05", "0.0000000000000000000000001",
+    "nan", "-inf", "inf", "", "1_0", "２", "0x10", "1e+05e+05"])
+def test_kernel_declines_other_cells(cell):
+    assert csvio._parse_cells(["1.5," + cell], 2) is None
+    assert csvio._parse_cells([cell + ",1.5"], 2) is None
+
+
+def test_kernel_declines_a_wrong_row_width():
+    assert csvio._parse_cells(["1,2", "3"], 2) is None
+    assert csvio._parse_cells(["1,2", "3,4,5"], 2) is None
+    assert csvio._parse_cells(["1,2,3", "4"], 2) is None
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 5), st.integers(1, 3), st.data())
+def test_written_normal_cells_take_the_kernel(tmp_path, n_rows, n_inst, data):
+    """Every finite cell that `write_csv` writes that is zero or normal parses
+    without loadtxt."""
+    cells = st.tuples(st.one_of(st.just(0.0), normal_doubles), st.booleans()).map(
+        lambda t: -t[0] if t[1] else t[0])
+    values = np.array([data.draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+                       for _ in range(n_inst)])
+    header = ["time"] + [f"inst_{i}" for i in range(n_inst)]
+    path = tmp_path / "e.csv"
+    write_csv(path, header, [np.arange(n_rows) * 0.01, *values])
+    with no_loadtxt:
+        back = read_ensemble_csv(path)
+    assert back.values.tobytes() == values.tobytes()
+
+
+def test_benchmark_ensembles_take_the_kernel(tmp_path):
+    """The `simulate` CSVs that `diagnose --in` reads parse without loadtxt."""
+    path = tmp_path / "e.csv"
+    for family, flags in [("gbm", ["--mu", "0.05", "--sigma", "0.2"]),
+                          ("glevy", ["--alpha", "1.55", "--beta", "0.2",
+                                     "--scale", "0.35", "--loc", "0.02"])]:
+        assert cli.main(["simulate", family, *flags, "--t", "10", "--dt", "0.01",
+                         "--n", "20", "--seed", "4", "--out", str(path)]) == 0
+        with no_loadtxt:
+            back = read_ensemble_csv(path)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert back.values.tobytes() == loadtxt(lines)[:, 1:].T.tobytes()
