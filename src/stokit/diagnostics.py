@@ -49,9 +49,18 @@ class PreasymptoticReport:
     window: int
 
 
+def _sorted_by_time(values: np.ndarray) -> np.ndarray:
+    """(times x instances) copy of ``values``, each row sorted (NaNs last)."""
+    rows = values.T.copy()
+    rows.sort(axis=1)
+    return rows
+
+
 def quantile_fan(ensemble: Ensemble, levels=DEFAULT_FAN_LEVELS) -> QuantileFan:
-    """Empirical quantiles per time point, linear interpolation of order
-    statistics (position (n-1)p)."""
+    """Empirical quantiles per time point: linear interpolation of order
+    statistics at position (n-1)p (Hyndman & Fan's definition 7), with the
+    arithmetic of ``np.quantile(..., method="linear")`` on one sort of each
+    time point's values.  A time point holding a NaN gives NaN."""
     levels = tuple(float(p) for p in levels)
     if not levels:
         raise DomainError("levels must be nonempty")
@@ -61,22 +70,38 @@ def quantile_fan(ensemble: Ensemble, levels=DEFAULT_FAN_LEVELS) -> QuantileFan:
         raise DomainError(f"levels must be strictly increasing, got {levels}")
     if ensemble.num_instances < 2:
         raise SizeError("quantile fan needs at least 2 instances")
-    curves = np.quantile(ensemble.values, levels, axis=0, method="linear")
+    rows = _sorted_by_time(ensemble.values)
+    n = rows.shape[1]
+    virtual = (n - 1) * np.array(levels)
+    lo = np.floor(virtual)
+    gamma = (virtual - lo)[:, None]
+    lo = lo.astype(np.intp)
+    below, above = rows[:, lo].T, rows[:, np.minimum(lo + 1, n - 1)].T
+    diff = above - below
+    curves = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=curves, where=gamma >= 0.5)
+    np.copyto(curves, rows[:, -1], where=np.isnan(rows[:, -1]))
     return QuantileFan(levels=levels, curves=curves)
 
 
 def summary_curves(ensemble: Ensemble) -> SummaryCurves:
     """Arithmetic mean, median, and geometric mean over instances, per time.
 
-    The geometric mean is exp(mean of logs) and requires strictly positive
+    The median is the mean of the middle one or two values of each time
+    point's sorted values, which is what ``np.median`` computes.  The
+    geometric mean is exp(mean of logs) and requires strictly positive
     values everywhere.
     """
     values = ensemble.values
     if np.any(values <= 0.0):
         raise PositivityError("geometric mean requires strictly positive values")
+    rows = _sorted_by_time(values)
+    n = rows.shape[1]
+    median = rows[:, (n - 1) // 2:n // 2 + 1].mean(axis=1)
+    np.copyto(median, rows[:, -1], where=np.isnan(rows[:, -1]))
     return SummaryCurves(
         arithmetic_mean=values.mean(axis=0),
-        median=np.median(values, axis=0),
+        median=median,
         geometric_mean=np.exp(np.log(values).mean(axis=0)),
     )
 

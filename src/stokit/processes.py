@@ -23,7 +23,6 @@ Discretization choices:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,6 +340,7 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
         for start in starts:
             run_block(start)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # spares every start-up
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             list(pool.map(run_block, starts))
     return Ensemble(grid=grid, values=values, spec=spec, seed=seed,

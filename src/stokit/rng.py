@@ -168,9 +168,10 @@ def sample_stable(stream: RngStream, alpha: float, beta: float, n: int) -> np.nd
     skew = beta * math.tan(0.5 * np.pi * alpha)
     shift = math.atan(skew) / alpha
     scale = (1.0 + skew * skew) ** (0.5 / alpha)
-    num = np.sin(alpha * (angle + shift))
+    turned = alpha * (angle + shift)
+    num = np.sin(turned)
     den = np.cos(angle) ** (1.0 / alpha)
-    tail = (np.cos(angle - alpha * (angle + shift)) / expo) ** ((1.0 - alpha) / alpha)
+    tail = (np.cos(angle - turned) / expo) ** ((1.0 - alpha) / alpha)
     return scale * num / den * tail
 
 

@@ -13,7 +13,6 @@ substitute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -94,11 +93,17 @@ def _ramp_colors(t: np.ndarray) -> list:
     return chars.view("U7")[..., 0].tolist()
 
 
+def _escape(text: str) -> str:
+    """XML character data; the bytes of ``xml.sax.saxutils.escape``, whose
+    import would pull ``urllib`` and ``email`` into every start-up."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _text(x: float, y: float, content: str, anchor: str = "middle",
           size: int = 12, fill: str = "#000000", extra: str = "") -> str:
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
             f'font-size="{size}" text-anchor="{anchor}" fill="{fill}"{extra}>'
-            f'{escape(content)}</text>')
+            f'{_escape(content)}</text>')
 
 
 def _frame_and_title(title: str, x_label: str, y_label: str) -> list[str]:

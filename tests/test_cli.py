@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +98,7 @@ class TestDiagnoseCommand:
         got = np.genfromtxt(f"{prefix}_fan.csv", delimiter=",", skip_header=1)
         np.testing.assert_allclose(got[:, 1:], fan.curves.T, rtol=1e-12)
         rates = growth_rates(ens)
-        lines = open(f"{prefix}_growth.csv").read().splitlines()
+        lines = Path(f"{prefix}_growth.csv").read_text().splitlines()
         assert lines[0] == "metric,value"
         assert float(lines[1].split(",")[1]) == pytest.approx(
             rates.time_average, rel=1e-12)
@@ -110,7 +114,7 @@ class TestDiagnoseCommand:
              "--t", 1, "--dt", 0.25, "--n", 4, "--seed", 1, "--out", src])
         prefix = tmp_path / "c"
         assert run(["diagnose", "--in", src, "--fan", "--out-prefix", prefix]) == 0
-        rows = open(f"{prefix}_fan.csv").read().splitlines()[1:]
+        rows = Path(f"{prefix}_fan.csv").read_text().splitlines()[1:]
         for row in rows:
             cells = row.split(",")[1:]
             assert len(set(cells)) == 1
@@ -142,7 +146,7 @@ class TestDiagnoseCommand:
         assert code == 0
         ens = simulate(GeometricBrownian(0.05, 0.2), 2.0, 0.01, 50, 11)
         rates = growth_rates(ens)
-        lines = open(f"{prefix}_growth.csv").read().splitlines()
+        lines = Path(f"{prefix}_growth.csv").read_text().splitlines()
         assert float(lines[1].split(",")[1]) == pytest.approx(
             rates.time_average, rel=1e-12)
 
@@ -155,7 +159,7 @@ class TestDiagnoseCommand:
         code = run(["diagnose", "--in", gbm_csv, "--preasym",
                     "--preasym-window", 20, "--out-prefix", prefix])
         assert code == 0
-        lines = open(f"{prefix}_preasym.csv").read().splitlines()
+        lines = Path(f"{prefix}_preasym.csv").read_text().splitlines()
         assert lines[0] == "time,distance,fluctuation"
         assert len(lines) == 202
         # first `window` rows carry no fluctuation value
@@ -167,7 +171,7 @@ class TestDiagnoseCommand:
         code = run(["diagnose", "--in", gbm_csv, "--fan", "--svg",
                     "--out-prefix", prefix])
         assert code == 0
-        svg = open(f"{prefix}_fan.svg").read()
+        svg = Path(f"{prefix}_fan.svg").read_text()
         assert svg.count("<polyline") == 5
 
 
@@ -324,3 +328,16 @@ def test_workers_below_one_exit_2(tmp_path, capsys, argv, workers):
     assert run(argv) == 2
     assert "--workers must be >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # nothing written
+
+
+def test_start_up_imports_no_url_or_thread_pool_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, email and ssl;
+    # concurrent.futures is needed only by runs with --workers > 1.
+    src = Path(cli.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, stokit, stokit.cli; "
+             "print(sorted({'urllib.request', 'concurrent.futures'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from stokit import (Brownian, DomainError, Ensemble,
+from stokit import (DEFAULT_FAN_LEVELS, Brownian, DomainError, Ensemble,
                     GeometricBrownian, PositivityError, SizeError, TimeGrid,
                     distance_to_asymptote, estimate_asymptote, growth_rates,
                     preasymptotic_report, quantile_fan, rolling_fluctuation,
@@ -79,6 +79,67 @@ def test_fan_never_decreases_with_the_level(values, levels):
     assert np.all(np.diff(fan.curves, axis=0) >= 0.0)
 
 
+@st.composite
+def rough_ensembles(draw, positive=False):
+    """2-300 instances x 2-5 timepoints: heavy ties from rounding, +-inf
+    cells and columns holding a NaN."""
+    n_instances, n_times = draw(st.integers(2, 300)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((n_instances, n_times))
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))
+    if decimals is not None:
+        values = np.round(values, decimals)
+    values *= 10.0 ** draw(st.integers(-300, 300))
+    if positive:
+        values = np.abs(values) + np.abs(values).max(initial=1.0)
+    specials = [np.inf] if positive else [np.inf, -np.inf]
+    for _ in range(draw(st.integers(0, 4))):
+        cell = rng.integers(n_instances), rng.integers(n_times)
+        values[cell] = specials[draw(st.integers(0, len(specials) - 1))]
+    for column in draw(st.lists(st.integers(0, n_times - 1), max_size=2)):
+        values[rng.integers(n_instances), column] = np.nan
+    return values
+
+
+def assert_numpy_bits(got, want, values):
+    """Bit-equal, except NaN payloads, and zero signs in columns that mix
+    0.0 and -0.0 (the order of equal keys is numpy's choice)."""
+    zero, negative = values == 0.0, np.signbit(values)
+    mixed = (zero & negative).any(axis=0) & (zero & ~negative).any(axis=0)
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), nan)
+    same_bits = got.view(np.uint64) == want.view(np.uint64)
+    assert np.all(same_bits | nan | (mixed & (got == want)))
+
+
+@given(rough_ensembles(),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                | st.sampled_from(DEFAULT_FAN_LEVELS),  # gamma 0.5 at p = 0.5
+                min_size=1, max_size=8, unique=True))
+def test_fan_is_numpy_linear_quantile(values, levels):
+    levels = sorted(levels)
+    with np.errstate(invalid="ignore"):
+        got = quantile_fan(make_ensemble(values), levels).curves
+        want = np.quantile(values, levels, axis=0, method="linear")
+    assert_numpy_bits(got, want, values)
+
+
+def test_fan_and_median_do_not_call_numpy_selection(monkeypatch):
+    values = np.exp(sample_gaussian(substream(5, 0), 30 * 7).reshape(30, 7))
+    values[4, 2] = np.nan
+    want_fan = np.quantile(values, DEFAULT_FAN_LEVELS, axis=0, method="linear")
+    want_median = np.median(values, axis=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.quantile and np.median are not to be called")
+
+    monkeypatch.setattr(np, "quantile", refuse)
+    monkeypatch.setattr(np, "median", refuse)
+    assert_numpy_bits(quantile_fan(make_ensemble(values)).curves, want_fan, values)
+    assert_numpy_bits(summary_curves(make_ensemble(values)).median, want_median, values)
+
+
 class TestSummaryCurves:
     def test_constant_ensemble(self):
         s = summary_curves(make_ensemble(np.full((4, 5), 2.0)))
@@ -108,6 +169,12 @@ class TestSummaryCurves:
     def test_positivity_error(self):
         with pytest.raises(PositivityError):
             summary_curves(make_ensemble(np.array([[1.0, -1.0], [2.0, 3.0]])))
+
+    @given(rough_ensembles(positive=True))
+    def test_median_is_numpy_median(self, values):
+        with np.errstate(invalid="ignore"):
+            got = summary_curves(make_ensemble(values)).median
+        assert_numpy_bits(got, np.median(values, axis=0), values)
 
     @given(ensemble_values(st.floats(1e-100, 1e100)))
     def test_am_at_least_gm_on_positive_ensembles(self, values):

@@ -302,7 +302,8 @@ class TestWorkers:
 
     def test_threads_capped_at_row_blocks(self, monkeypatch):
         monkeypatch.setattr(_PoolRecorder, "sizes", [])
-        monkeypatch.setattr(processes, "ThreadPoolExecutor", _PoolRecorder)
+        # processes imports the pool class at the call, so patch it at its source
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _PoolRecorder)
         spec = Brownian(0.1, 1.0)
         serial = simulate(spec, 1.0, 0.1, 2, 5)
         assert _PoolRecorder.sizes == []  # one worker: the calling thread
