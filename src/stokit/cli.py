@@ -17,7 +17,6 @@ All outputs are deterministic functions of the flags; ``--seed`` defaults to
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -25,20 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agents import PoolConfig, evolutionary_optimize
-from .csvio import ensemble_table, read_ensemble_csv, write_csv
-from .diagnostics import (DEFAULT_FAN_LEVELS, growth_rates,
-                          preasymptotic_report, quantile_fan, summary_curves)
 from .errors import (DomainError, GridError, PositivityError, SchemaError,
                      SizeError, StabilityError, StokitError)
-from .figures import (build_all, fan_series, fan_table, field_table,
-                      heatmap_bundle, preasym_series, preasym_table,
-                      profile_bundle, profile_table, summary_series,
-                      summary_table)
 from .processes import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
                         LevyStable, OrnsteinUhlenbeck, Poisson, simulate)
-from .spde import Dirichlet, Neumann, SpdeSpec, simulate_heat_spde
-from .svgplot import LineBundle, render_svg
+
+# Parsing needs only the spec types above; each handler imports the modules
+# it runs, so a command loads no module that it does not use.
 
 _FAMILY_TYPES = {
     "brownian": Brownian,
@@ -92,6 +84,7 @@ def _parse_levels(text: str) -> tuple[float, ...]:
 
 
 def _parse_boundary(text: str):
+    from .spde import Dirichlet, Neumann
     if text == "neumann":
         return Neumann()
     if text == "dirichlet":
@@ -126,16 +119,19 @@ def _dispatch_targets() -> list[str]:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_svg(path: str, bundle) -> None:
+    from .svgplot import render_svg
     Path(path).write_text(render_svg(bundle), encoding="utf-8")
 
 
 # --- command handlers -----------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .csvio import ensemble_table, write_csv
     spec = _spec_from_flags(args.family, args)
     ensemble = simulate(spec, args.t, args.dt, args.n, args.seed,
                         workers=args.workers)
@@ -144,6 +140,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    from .csvio import read_ensemble_csv, write_csv
+    from .diagnostics import (DEFAULT_FAN_LEVELS, growth_rates,
+                              preasymptotic_report, quantile_fan, summary_curves)
+    from .figures import (fan_series, fan_table, preasym_series, preasym_table,
+                          summary_series, summary_table)
+    from .svgplot import LineBundle
     if args.infile is not None:
         ensemble = read_ensemble_csv(args.infile)
     else:
@@ -194,6 +196,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_spde(args: argparse.Namespace) -> int:
+    from .csvio import write_csv
+    from .figures import field_table, heatmap_bundle, profile_bundle, profile_table
+    from .spde import SpdeSpec, simulate_heat_spde
     boundary = _parse_boundary(args.boundary)
     profile = _INITIAL_PROFILES[args.init](args.L)
     spec = SpdeSpec(kappa=args.kappa, sigma=args.sigma, length=args.L,
@@ -209,6 +214,8 @@ def cmd_spde(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    from .agents import PoolConfig, evolutionary_optimize
+    from .csvio import write_csv
     spec = _spec_from_flags(args.family, args)
     config = PoolConfig(
         n_agents=args.agents, generations=args.generations,
@@ -226,6 +233,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
+    from .figures import build_all
     bundles = build_all(args.seed, workers=args.workers)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -174,6 +174,26 @@ class TestDiagnoseCommand:
         svg = Path(f"{prefix}_fan.svg").read_text()
         assert svg.count("<polyline") == 5
 
+    def test_inline_run_writes_the_bytes_of_its_csv_round_trip(self, tmp_path):
+        """Every table and chart of an inline run equals that of the same
+        ensemble written by 'simulate' and read back with --in."""
+        spec = ["--mu", 0.05, "--sigma", 0.2, "--t", 2, "--dt", 0.01, "--n", 50,
+                "--seed", 11]
+        wanted = ["--fan", "--summary", "--preasym", "--preasym-window", 20, "--svg"]
+        ensemble = tmp_path / "e.csv"
+        assert run(["simulate", "gbm", *spec, "--out", ensemble]) == 0
+        assert run(["diagnose", "--family", "gbm", *spec, *wanted,
+                    "--out-prefix", tmp_path / "inline"]) == 0
+        assert run(["diagnose", "--in", ensemble, *wanted,
+                    "--out-prefix", tmp_path / "read"]) == 0
+        outputs = [f"_{name}.{suffix}" for name in ("fan", "summary", "preasym")
+                   for suffix in ("csv", "svg")]
+        for output in outputs:
+            inline = (tmp_path / f"inline{output}").read_bytes()
+            assert inline == (tmp_path / f"read{output}").read_bytes(), output
+        svgs = [(tmp_path / f"inline{output}").read_text() for output in outputs[1::2]]
+        assert [svg.count("<polyline") for svg in svgs] == [5, 3, 2]
+
 
 class TestSpdeCommand:
     def test_zero_everything_yields_zero_field(self, tmp_path):
@@ -215,6 +235,26 @@ class TestSpdeCommand:
         assert code == 0
         assert (tmp_path / "n_field.svg").exists()
         assert (tmp_path / "n_profiles.svg").exists()
+
+    def test_dirichlet_values_pin_the_ends(self, tmp_path):
+        prefix = tmp_path / "d"
+        code = run(["spde", "--kappa", 0.1, "--sigma", 0.2, "--L", 1,
+                    "--dx", 0.125, "--dt", 0.01, "--t", 0.2, "--boundary",
+                    "dirichlet:1.5,-2", "--init", "zero", "--svg",
+                    "--out-prefix", prefix])
+        assert code == 0
+        field = np.genfromtxt(f"{prefix}_field.csv", delimiter=",", skip_header=1)
+        assert np.all(field[:, 1] == 1.5) and np.all(field[:, -1] == -2.0)
+        assert np.any(field[1:, 2:-1] != 0.0)  # the noise reaches the interior
+        assert (tmp_path / "d_field.svg").exists()
+        assert (tmp_path / "d_profiles.svg").exists()
+
+    def test_bad_boundary_exits_2(self, tmp_path, capsys):
+        code = run(["spde", "--kappa", 0.1, "--L", 1, "--dx", 0.125, "--dt",
+                    0.01, "--t", 0.1, "--boundary", "dirichlet:1",
+                    "--out-prefix", tmp_path / "b"])
+        assert code == 2
+        assert "dirichlet:LEFT,RIGHT" in capsys.readouterr().err
 
 
 class TestEvolveCommand:
@@ -300,7 +340,7 @@ def test_csv_io_memory_is_one_piece_not_the_file(tmp_path, monkeypatch):
         return ensemble
 
     monkeypatch.setattr(cli, "simulate", simulate_then_mark)
-    monkeypatch.setattr(cli, "read_ensemble_csv", traced_read)
+    monkeypatch.setattr(csvio, "read_ensemble_csv", traced_read)
     out = tmp_path / "e.csv"
     tracemalloc.start()
     try:
@@ -341,3 +381,27 @@ def test_start_up_imports_no_url_or_thread_pool_modules():
     done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout.strip() == "[]"
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The stokit submodules, and hashlib, that a fresh interpreter holds
+    after running `code`."""
+    src = Path(cli.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = (f"import sys\n{code}\nprint(*(m for m in sys.modules "
+             "if m.startswith('stokit.') or m == 'hashlib'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    return set(done.stdout.split())
+
+
+def test_start_up_loads_only_what_the_command_runs(tmp_path):
+    assert _loaded_after("import stokit") == set()
+    unused = {f"stokit.{name}" for name in ("agents", "csvio", "diagnostics", "figures",
+                                            "fitting", "spde", "svgplot")} | {"hashlib"}
+    assert not _loaded_after("import stokit.cli; stokit.cli.build_parser()") & unused
+    argv = ["simulate", "gbm", "--mu", "0.05", "--sigma", "0.2", "--t", "1",
+            "--dt", "0.1", "--n", "3", "--out", str(tmp_path / "x.csv")]
+    assert _loaded_after(f"import stokit.cli; assert stokit.cli.main({argv!r}) == 0") == {
+        "stokit.cli", "stokit.csvio", "stokit.errors", "stokit.processes", "stokit.rng"}
