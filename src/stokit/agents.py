@@ -13,9 +13,9 @@ gives the same outcome.
 A generation is scored in one blocked pass over its factor matrix: a block of
 steps' factors is tiled across the fractions in one buffer, scaled and shifted
 in place (the two roundings of ``f * r + (1 - f)``), logged and summed down
-the steps into each path's running log wealth, keeping the bits of
-``cumsum(log_mix)[:, -1]`` alone or in any batch.  The running minimum of the
-same sums is the floor check: only floored fractions go to the floored walk.
+the steps into each path's floored log wealth.  Only the columns that fall
+below the ruin floor in a block are walked again step by step, by Lindley's
+reflected walk; a score has the same bits alone or in any batch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .processes import ProcessSpec, simulate
 from .rng import derive_seed, sample_gaussian, substream
 
@@ -59,6 +59,11 @@ def growth_from_factors(fraction: float, factors: np.ndarray, dt: float
     """Time-average log growth of leveraged wealth given per-step gross
     factors of the risky process (paths x steps), with wealth floored at
     WEALTH_FLOOR; a zero or negative mix ``1 - f + f * r`` ruins the step."""
+    if factors.ndim != 2 or 0 in factors.shape:
+        raise SizeError(f"factors must be paths x steps, both >= 1; "
+                        f"got shape {factors.shape}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
     return _score(np.array([fraction], dtype=np.float64), factors, dt)[0]
 
 
@@ -71,12 +76,15 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
     ``_BLOCK // (fractions x paths)`` steps, about 1 MB, steps-major: the
     factors tiled across the fractions, ``*= scale`` and ``+= shift`` in place
     (each still ``fl(fl(f * r) + (1 - f))``), clamped and logged.  It is
-    summed down the steps into the running log wealth, by a cumsum when it
-    has few columns and by one row add per step when it has ``_ROW_ADDS`` or
-    more, where cumsum's serial chain per column costs more than numpy's call
-    per row.  Either way each path is summed in step order and keeps the bits
-    of ``cumsum(log_mix)[:, -1]``; the running minimum of the same sums sends
-    exactly the fractions whose wealth reaches the floor to `_floored_walk`.
+    summed down the steps onto the running floored log wealth, by a cumsum
+    when it has few columns and by one row add per step when it has
+    ``_ROW_ADDS`` or more, where cumsum's serial chain per column costs more
+    than numpy's call per row.  Either way each path is summed in step order,
+    the bits of ``cumsum(log_mix)[:, -1]`` while above the floor.  Columns
+    whose sums fall below it are walked again in the spent block's buffer,
+    from the same log mix, one step at a time by Lindley's ``w = max(w + x,
+    log floor)``: a floored score is the exact per-step walk, whatever the
+    block split.
     """
     n_paths, n_steps = factors.shape
     horizon = n_steps * dt
@@ -85,7 +93,7 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
     rows = list(block) if shift.size >= _ROW_ADDS else None
     steps = np.empty((len(block), n_paths))  # the block's factors, steps-major
     wealth, low = np.zeros(shift.size), np.empty(shift.size)
-    lowest = np.full(shift.size, np.inf)
+    ruins = np.zeros(shift.size, dtype=np.int64)
     for start in range(0, n_steps, len(block)):
         part = block[:n_steps - start]
         np.copyto(steps[:len(part)], factors[:, start:start + len(part)].T)
@@ -100,34 +108,22 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
         else:
             for prev, row in zip(rows, rows[1:len(part)]):
                 np.add(prev, row, out=row)
-        np.minimum(lowest, part.min(axis=0, out=low), out=lowest)
+        hit = np.flatnonzero(part.min(axis=0, out=low) < _LOG_FLOOR)
+        level = wealth[hit]
         np.copyto(wealth, part[-1])
+        if hit.size:
+            walk = block.reshape(-1)[:hit.size * len(part)].reshape(len(part), -1)
+            np.take(steps[:len(part)], hit % n_paths, axis=1, out=walk)
+            walk *= scale[hit]
+            walk += shift[hit]
+            np.log(np.maximum(walk, _TINY, out=walk), out=walk)
+            for x in walk:  # leaves w + x in each row
+                np.maximum(np.add(level, x, out=x), _LOG_FLOOR, out=level)
+            ruins[hit] += np.count_nonzero(walk < _LOG_FLOOR, axis=0)
+            wealth[hit] = level
     growth = wealth.reshape(-1, n_paths).mean(axis=1) / horizon
-    floored = ~(lowest.reshape(-1, n_paths).min(axis=1) >= _LOG_FLOOR)
-    return [_floored_walk(f, factors, dt) if ruined else GrowthEval(float(g), 0)
-            for f, g, ruined in zip(fractions, growth, floored)]
-
-
-def _floored_walk(fraction: float, factors: np.ndarray, dt: float
-                  ) -> GrowthEval:
-    """The floored log walk, which is Lindley's reflected walk over the
-    unfloored sum S: it is floored where S drops below the floor and every
-    earlier S, and ends at the floor plus its rise after its lowest S if that
-    is below the floor."""
-    horizon = factors.shape[1] * dt
-    log_mix = fraction * factors + (1.0 - fraction)
-    np.log(np.maximum(log_mix, _TINY, out=log_mix), out=log_mix)
-    log_wealth = np.cumsum(log_mix, axis=1)
-    lowest = log_wealth.argmin(axis=1)
-    low = np.minimum(log_wealth, _LOG_FLOOR, out=log_wealth)  # in the cumsum buffer
-    np.minimum.accumulate(low, axis=1, out=low)
-    ruins = (np.count_nonzero(low[:, 0] < _LOG_FLOOR)
-             + np.count_nonzero(low[:, 1:] < low[:, :-1]))
-    # Summed, unlike S_n - min S, the rise keeps its rounding free of |S|.
-    floored = low[:, -1:] < _LOG_FLOOR
-    log_mix[floored & (np.arange(log_mix.shape[1]) <= lowest[:, None])] = 0.0
-    final = log_mix.sum(axis=1) + np.where(floored[:, 0], _LOG_FLOOR, 0.0)
-    return GrowthEval(float(final.mean() / horizon), int(ruins))
+    return [GrowthEval(float(g), int(r))
+            for g, r in zip(growth, ruins.reshape(-1, n_paths).sum(axis=1))]
 
 
 def _factors(spec: ProcessSpec, horizon: float, dt: float, n_paths: int,

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stokit import (Brownian, DomainError, GeometricBrownian, GeometricLevy,
-                    PoolConfig, evaluate_growth, evolutionary_optimize,
-                    growth_from_factors, simulate)
+                    PoolConfig, SizeError, evaluate_growth,
+                    evolutionary_optimize, growth_from_factors, simulate)
 from stokit import agents
-from stokit.agents import _PATH_SALT, WEALTH_FLOOR
+from stokit.agents import _PATH_SALT, WEALTH_FLOOR, GrowthEval
 from stokit.rng import derive_seed
 
 
@@ -46,6 +46,16 @@ class TestWealthUpdate:
         factors = np.array([factors])
         got = growth_from_factors(fraction, factors, 1.0)
         assert got == (math.log(WEALTH_FLOOR) / factors.shape[1], 1)
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 5), (5,), (1, 1, 1)])
+    def test_rejects_factors_that_are_not_paths_by_steps(self, shape):
+        with pytest.raises(SizeError):
+            growth_from_factors(1.0, np.ones(shape), 1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_step_that_is_not_finite_and_positive(self, dt):
+        with pytest.raises(DomainError):
+            growth_from_factors(1.0, np.ones((2, 3)), dt)
 
 
 class TestEvaluateGrowth:
@@ -153,6 +163,9 @@ _FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0))
 # f = 1 on a factor of exactly 0 mixes to 0, which the log clamps to _TINY;
 # f = 0 next to it mixes to exactly 1.
 @example(np.array([[1.2, 0.0, 0.9], [0.8, 1.1, 1.0]]), [1.0, 0.0], 2)
+# In blocks of 3, f = 1 floors in the first block, climbs back above the floor
+# across the first block boundary and floors again in the third block.
+@example(np.array([[1e-13, 3, 3, 3, 3, 3, 1e-20, 3, 3, 3], [1.0] * 10]), [1.0], 3)
 def test_generation_scores_match_single_fraction_scores(factors, drawn, steps):
     # Blocks of `steps` steps for the generation (0 and a duplicate added),
     # so the step counts run past one block and end inside one.  The batch
@@ -200,6 +213,48 @@ def test_score_memory_is_one_block_not_the_factor_matrix():
         tracemalloc.stop()
     assert all(score.ruin_events == 0 for score in scores)  # no floored walk
     assert peak < 2 * agents._BLOCK * 8
+
+
+def test_floored_score_memory_is_one_block_too():
+    # Here most fractions floor; their step-by-step walks reuse the block's
+    # buffer instead of rebuilding each fraction's log wealth in full.
+    factors = agents._factors(GeometricLevy(1.5, 0.0, 0.2, 0.02), 200.0, 0.01, 50, 8)
+    fractions = np.linspace(0.0, 3.0, 40)
+    tracemalloc.start()
+    try:
+        scores = agents._score(fractions, factors, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(score.ruin_events > 0 for score in scores) >= 20
+    assert peak < 2 * agents._BLOCK * 8
+
+
+def _exact_floored_walk(fraction, factors, dt):
+    """The floored log walk one step at a time with numpy's roundings,
+    w = max(w + log(max(fl(fl(f * r) + (1 - f)), tiny)), log floor)."""
+    level, ruins = np.zeros(len(factors)), 0
+    for r in factors.T:
+        level = level + np.log(np.maximum(fraction * r + (1.0 - fraction), agents._TINY))
+        ruins += np.count_nonzero(level < math.log(WEALTH_FLOOR))
+        level = np.maximum(level, math.log(WEALTH_FLOOR))
+    return GrowthEval(level.mean() / (factors.shape[1] * dt), ruins)
+
+
+@settings(deadline=None)
+@given(_FACTORS, st.lists(_FRACTION, min_size=1, max_size=4), st.integers(1, 7))
+@example(np.full((2, 41), 0.5), [1.0], 7)  # floors from step 40, in block 6
+@example(np.array([[1e-13, 3, 3, 3, 3, 3, 1e-20, 3, 3, 3]]), [1.0, 2.5], 3)
+def test_floored_scores_are_the_exact_per_step_walk(factors, drawn, steps):
+    # Bit for bit and ruin for ruin, alone and in a batch whose blocks of
+    # `steps` steps are summed by row adds or by cumsum.
+    fractions, dt = np.array(drawn), 0.5
+    want = _bits([_exact_floored_walk(f, factors, dt) for f in fractions])
+    assert _bits([growth_from_factors(f, factors, dt) for f in fractions]) == want
+    width = fractions.size * factors.shape[0]
+    for row_adds in (1, width + 1):
+        with mock.patch.multiple(agents, _BLOCK=width * steps, _ROW_ADDS=row_adds):
+            assert _bits(agents._score(fractions, factors, dt)) == want
 
 
 class TestEvolution:
