@@ -141,7 +141,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     from .csvio import read_ensemble_csv, write_csv
-    from .diagnostics import (DEFAULT_FAN_LEVELS, growth_rates,
+    from .diagnostics import (DEFAULT_FAN_LEVELS, _SortOnce, growth_rates,
                               preasymptotic_report, quantile_fan, summary_curves)
     from .figures import (fan_series, fan_table, preasym_series, preasym_table,
                           summary_series, summary_table)
@@ -159,6 +159,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if not (want_fan or args.summary or args.growth or args.preasym):
         raise DomainError("request at least one diagnostic "
                           "(--fan/--fan-levels, --summary, --growth, --preasym)")
+    if want_fan and args.summary:  # both read one sort of each time point
+        ensemble = _SortOnce(ensemble.grid, ensemble.values)
     prefix = args.out_prefix
     times = ensemble.grid.times
 

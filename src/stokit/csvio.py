@@ -7,12 +7,13 @@ reproduces the double bit pattern on parse; text cells as they are.
 Cells are formatted as whole arrays, not one by one.  A finite cell with
 ``1e-4 <= |x| < 1e17`` is in ``%.17g``'s fixed notation (decimal exponent
 -4..16); its 17 digits come from the exact Dekker product ``|x| *
-10**(16 - e)`` rounded half to even, as ``%.17g`` rounds, and 2-digit lookup
-tables.  Each cell's bytes are laid into a fixed-width byte matrix, and one
-pass deletes the unused bytes.  Every other cell (0, -0, subnormals,
-``|x| < 1e-4``, ``|x| >= 1e17``, inf, nan, text, and the empty cells that pad
-a shorter column) is formatted by ``'%.17g' % x`` cell by cell.  The bytes are
-the same as ``'%.17g' % x`` for every cell.
+10**(16 - e)`` rounded half to even, as ``%.17g`` rounds, split into groups
+of 4 digits, and written from a table of the 100 digit pairs.  Each cell's
+bytes are laid into a fixed-width byte matrix, and one pass deletes the unused
+bytes.  Every other cell (0, -0, subnormals, ``|x| < 1e-4``, ``|x| >= 1e17``,
+inf, nan, text, and the empty cells that pad a shorter or empty column) is
+formatted by ``'%.17g' % x`` cell by cell.  The bytes are the same as
+``'%.17g' % x`` for every cell.
 
 Cells are parsed as whole arrays too.  A cell such as ``%.17g`` writes,
 ``-?D+(.D+)?(e[+-]D{1,3})?`` with at most 19 significant digits, is read
@@ -24,8 +25,9 @@ to ``np.loadtxt`` as before, so every file parses to the same bits or fails
 with the same error.
 
 Tables are written and read in pieces of whole rows of about `_PIECE_CELLS`
-cells, and formatted `_SLICE_CELLS` cells at a time, so the memory beyond a
-table's own arrays is one piece, not the file's text.
+cells, and formatted `_SLICE_CELLS` cells at a time (~90 bytes of temporaries
+per cell), so the memory beyond a table's own arrays is one piece, not the
+file's text.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import SchemaError
 from .processes import Ensemble, TimeGrid
 
 _PIECE_CELLS = 2 ** 16  # cells in one piece of rows: 512 KB of float64
-_SLICE_CELLS = 2 ** 12  # cells formatted at once: ~90 bytes of temporaries each
+_SLICE_CELLS = 2 ** 14  # cells formatted at once: ~90 bytes of temporaries each
 _WINDOW = 24  # bytes of a cell's number before its exponent that the parse reads
 
 
@@ -70,34 +72,39 @@ def _scaled(a, e):
 
 # A fixed-notation cell is laid into five 8-byte words: its sign, the "0.000"
 # that leads e < 0, its leading digit and a point slot, then the other 16
-# digits, each followed by a point slot, from `_PAIRS`; the last slot holds
-# the separator.  Which of those bytes the cell drops depends only on its
-# sign, its decimal exponent e (-4..16) and the place of its last nonzero
-# digit (0..16).  A dropped byte is set to 0xFF, which no UTF-8 text
-# contains, and deleted at the end.
-_LEAD = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+# digits in four groups of four, each digit followed by a point slot; the last
+# slot holds the separator.  A negative cell's digits carry its sign as an
+# 18th digit (1), whose word from `_LEAD` writes "-"; a positive cell's drops
+# that byte.  Which other bytes a cell drops depends only on its decimal
+# exponent e (-4..16) and the place of its last nonzero digit (0..16).  A
+# dropped byte is set to 0xFF, which no UTF-8 text contains, and deleted at the
+# end.
+_LEAD = np.frombuffer(b"".join(b"%c0.000%d." % (sign, d) for sign in b"\xff-"
+                               for d in range(10)), np.uint64)
+# `_PAIRS[0, p]` and `_PAIRS[1, p]`: the low and the high half of a word
+# holding "d.d." of the two digits p, 0..99.
 _PAIRS = np.frombuffer(b"".join(b"%c.%c." % tuple(b"%02d" % p) for p in range(100)),
-                       np.uint32)
-# `_LAST[k, p]`: the place of the last nonzero digit of a cell whose k-th pair
-# of digits after the leading one is p, or 0 if p is 0.
-_LAST = np.array([[2 * k + 2 if p % 10 else 2 * k + 1 if p else 0 for p in range(100)]
-                  for k in range(8)], np.uint8)
+                       np.uint32).astype(np.uint64) << np.uint64([[0], [32]])
 
 
 @functools.cache
-def _drop_table() -> np.ndarray:
-    """``[w, (negative * 21 + e + 4) * 17 + last]``: 0xFF in each byte of
-    word w that such a cell does not write.  Built on first use, so that runs
-    which write no CSV do not hold it."""
-    negative, e, last = np.ogrid[0:2, -4:17, 0:17]
-    keep = np.zeros((2, 21, 17, 40), bool)
-    keep[..., 0] = negative
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """``(place, drop)``, built on first use, so that runs which write no CSV
+    do not hold them.  ``place[g]`` is the place (1..4) of the last nonzero
+    digit of the group of four digits g, 1..9999, and -16 for g = 0, so that
+    it stays below 0 when a group's offset (0..12) is added.  ``drop[(e + 4) *
+    17 + last]`` has 0xFF in each byte of the five words that a cell with
+    decimal exponent e and last nonzero digit at place ``last`` does not
+    write."""
+    place = np.full(10000, 4, np.int8)
+    place[::10], place[::100], place[::1000], place[0] = 3, 2, 1, -16
+    e, last = np.ogrid[-4:17, 0:17]
+    keep = np.zeros((21, 17, 40), bool)
     keep[..., 1:6] = np.arange(5) < np.where(e < 0, 1 - e, 0)[..., None]
     keep[..., 6::2] = np.arange(17) <= np.maximum(e, last)[..., None]
     keep[..., 7::2] = np.arange(17) == np.where(last > e, e, -1)[..., None]
-    keep[..., -1] = True
-    drop = (np.uint8(0xFF) * ~keep).reshape(-1, 40).view(np.uint64)
-    return np.ascontiguousarray(drop.T)
+    keep[..., 0] = keep[..., -1] = True
+    return place, (np.uint8(0xFF) * ~keep).reshape(-1, 40).view(np.uint64)
 
 
 _FILL = np.uint64(2 ** 64 - 1)  # a word of dropped bytes
@@ -124,21 +131,26 @@ def _seventeen_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e.astype(np.int8), d
 
 
-def _digit_words(d: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Write the 17 digits ``d`` (consumed) into the last five words of
-    ``cells``; return the place of each one's last nonzero digit."""
-    lead = d // 10 ** 16
+def _digit_words(d: np.ndarray, cells: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """Write the 17 digits ``d`` (consumed), plus 10**17 for a negative cell,
+    into the last five words of ``cells``; return the place of each one's last
+    nonzero digit, from `_tables`' ``place``."""
+    high = d // 10 ** 8
+    d -= high * 10 ** 8
+    lead = high // 10 ** 8
     cells[:, -5] = _LEAD.take(lead)
-    d -= lead * 10 ** 16
+    high -= lead * 10 ** 8
     del lead
-    halves = cells.view(np.uint32)[:, -8:]
-    last = np.zeros(d.size, np.intp)
-    for k in range(8):
-        scale = 10 ** (14 - 2 * k)
-        pair = d // scale
-        d -= pair * scale
-        halves[:, k] = _PAIRS.take(pair)
-        np.maximum(last, _LAST[k].take(pair), out=last)
+    last = np.zeros(d.size, np.int8)
+    for k, half in enumerate((high, d)):
+        group = half // 10 ** 4
+        half -= group * 10 ** 4
+        for j, g in enumerate((group, half), 2 * k):
+            np.maximum(last, place.take(g) + np.int8(4 * j), out=last)
+            pair = g // 100
+            g -= pair * 100
+            pair = _PAIRS[0].take(pair)  # drops the index before the next lookup
+            np.bitwise_or(pair, _PAIRS[1].take(g), out=cells[:, j - 4])
     return last
 
 
@@ -146,10 +158,13 @@ def _render(x: np.ndarray, seps: np.ndarray, words) -> bytearray:
     """The bytes of the cells ``x``, each as ``'%.17g' % x`` followed by its
     separator byte from ``seps``.  A cell whose entry in the object array
     ``words`` (or None) is a str is that text instead."""
-    drop_table = _drop_table()  # built, once, before this slice's arrays
-    fixed = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e17)  # False for nan
-    e, d = _seventeen_digits(np.where(fixed, np.abs(x), 1.0))
-    other = np.flatnonzero(~fixed)
+    place, drop = _tables()  # built, once, before this slice's arrays
+    a = np.abs(x)
+    other = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))  # nan is one
+    a[other] = 1.0
+    e, d = _seventeen_digits(a)
+    del a
+    d += 10 ** 17 * (x < 0)
     texts = ["%.17g" % v for v in x[other].tolist()]
     if words is not None:
         texts = [t if w is None else w for t, w in zip(texts, words[other].tolist())]
@@ -158,10 +173,9 @@ def _render(x: np.ndarray, seps: np.ndarray, words) -> bytearray:
     out = bytearray(8 * width * x.size)
     cells = np.frombuffer(out, np.uint64).reshape(x.size, width)
     cells[:, :-5] = _FILL
-    code = _digit_words(d, cells)
-    code += 17 * (e + 4 + 21 * (x < 0))
-    for k, drop in enumerate(drop_table):
-        cells[:, k - 5] |= drop.take(code)
+    code = _digit_words(d, cells, place) + 17 * (e.astype(np.intp) + 4)
+    del e, d  # before the gather's temporary, as wide as `cells`
+    cells[:, -5:] |= drop.take(code, axis=0)
     if data:  # right-aligned against the separator
         cells[other] = _FILL
         lengths = np.array([len(b) for b in data])
@@ -169,7 +183,7 @@ def _render(x: np.ndarray, seps: np.ndarray, words) -> bytearray:
         at = np.arange(lengths.sum()) + np.repeat(ends - np.cumsum(lengths), lengths)
         np.frombuffer(out, np.uint8)[at] = np.frombuffer(b"".join(data), np.uint8)
     cells.view(np.uint8)[:, -1] = seps
-    del e, d, code, cells  # translate takes a second buffer as long as `out`
+    del code, cells  # translate takes a second buffer as long as `out`
     return out.translate(None, b"\xff")
 
 
@@ -177,7 +191,7 @@ def _table_bytes(header: list[str], columns):
     """Yield `render_csv`'s UTF-8 bytes: the header line, then each piece of
     rows a slice of cells at a time."""
     lengths = [len(column) for column in columns]
-    is_text = [isinstance(column[0], str) for column in columns]
+    is_text = [len(column) > 0 and isinstance(column[0], str) for column in columns]
     n_cols, n_rows = len(columns), max(lengths)
     row_seps = np.full(n_cols, ord(","), np.uint8)
     row_seps[-1] = ord("\n")
@@ -185,22 +199,22 @@ def _table_bytes(header: list[str], columns):
     yield (",".join(header) + "\n").encode("utf-8")
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
-        values = np.zeros((hi - lo, n_cols))
-        words = None
-        if any(is_text) or min(lengths) < hi:
+        values, words = np.zeros((hi - lo, n_cols)), None
+        if not any(is_text) and min(lengths) >= hi:  # numbers only: one copy
+            values.T[...] = [column[lo:hi] for column in columns]
+        else:  # text or padding: column by column
             words = np.full((hi - lo, n_cols), None, object)
-        for j, (column, text) in enumerate(zip(columns, is_text)):
-            part = column[lo:hi]
-            if text:
-                words[:len(part), j] = part
-            else:
-                values[:len(part), j] = part
-            if len(part) < hi - lo:
+            for j, (column, text) in enumerate(zip(columns, is_text)):
+                part = column[lo:hi]
+                if text:
+                    words[:len(part), j] = part
+                else:
+                    values[:len(part), j] = part
                 words[len(part):, j] = ""
-        values = values.reshape(-1)
+        values, seps = values.reshape(-1), np.tile(row_seps, hi - lo)
         for start in range(0, values.size, _SLICE_CELLS):
             stop = min(start + _SLICE_CELLS, values.size)
-            yield _render(values[start:stop], row_seps[np.arange(start, stop) % n_cols],
+            yield _render(values[start:stop], seps[start:stop],
                           None if words is None else words.reshape(-1)[start:stop])
 
 
@@ -236,7 +250,7 @@ _KEEP = np.array([[2 ** 64 - 2 ** (8 * min(max(i - 8 * k, 0), 8))
 def _pow5_limbs() -> np.ndarray:
     """Column q + 342 for q in -342..308: 5**q scaled to 128 bits, truncated
     for q >= 0 and rounded up for q < 0 as in Eisel–Lemire's table, as its high
-    and low 64 bits.  Built on first use, as `_drop_table` is."""
+    and low 64 bits.  Built on first use, as `_tables` is."""
     limbs = np.empty((2, 651), np.uint64)
     for q in range(-342, 309):
         z = (5 ** -q).bit_length() if q < 0 else 0

@@ -108,6 +108,25 @@ class TestDiagnoseCommand:
         got = np.genfromtxt(f"{prefix}_summary.csv", delimiter=",", skip_header=1)
         np.testing.assert_allclose(got[:, 1], summary.arithmetic_mean, rtol=1e-12)
 
+    def test_fan_and_summary_sort_once(self, gbm_csv, tmp_path, monkeypatch):
+        """``--fan --summary`` sorts the ensemble's time points once, and
+        writes the bytes that ``--fan`` and ``--summary`` write alone."""
+        from stokit import diagnostics
+        sort, calls = diagnostics._sorted_by_time, []
+        monkeypatch.setattr(diagnostics, "_sorted_by_time",
+                            lambda values: calls.append(values) or sort(values))
+        both, fan, summary = tmp_path / "both", tmp_path / "fan", tmp_path / "summary"
+        assert run(["diagnose", "--in", gbm_csv, "--fan", "--summary",
+                    "--out-prefix", both]) == 0
+        assert len(calls) == 1
+        assert run(["diagnose", "--in", gbm_csv, "--fan", "--out-prefix", fan]) == 0
+        assert run(["diagnose", "--in", gbm_csv, "--summary",
+                    "--out-prefix", summary]) == 0
+        assert len(calls) == 3
+        for prefix, kind in ((fan, "fan"), (summary, "summary")):
+            assert (Path(f"{both}_{kind}.csv").read_bytes()
+                    == Path(f"{prefix}_{kind}.csv").read_bytes())
+
     def test_constant_ensemble_fan_columns_equal(self, tmp_path):
         src = tmp_path / "const.csv"
         run(["simulate", "brownian", "--drift", 0, "--scale", 0, "--x0", 2.5,

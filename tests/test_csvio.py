@@ -1,5 +1,9 @@
 import contextlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stokit import Brownian, SchemaError, cli, csvio, simulate
+from stokit.cli import _dispatch_targets
 from stokit.csvio import (ensemble_to_csv, parse_ensemble_csv, read_ensemble_csv,
                           render_csv, write_csv)
 
@@ -308,6 +313,101 @@ def test_int_and_text_columns_match_per_cell_rule(tmp_path, ints, piece, data):
     assert path.read_bytes() == rendered.encode("utf-8")
 
 
+@pytest.mark.parametrize("cols, text", [
+    ([[1.0], []], "a,b\n1,\n"),
+    ([[], [2.5, -0.0]], "a,b\n,2.5\n,-0\n"),
+    ([["x"], []], "a,b\nx,\n"),
+    ([[], []], "a,b\n"),
+    ([np.array([]), np.array([], np.float32)], "a,b\n"),
+])
+def test_an_empty_column_renders_as_padding(tmp_path, cols, text):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], cols)
+    assert render_csv(["a", "b"], cols) == per_cell(["a", "b"], cols) == text
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("piece", [1, 2, None])
+def test_numbers_only_pieces_convert_as_column_by_column(piece):
+    """A piece of full-length number columns is copied into the table in one
+    assignment; it converts each cell as the column-by-column path of text or
+    padded tables does."""
+    big = 2 ** 53 + np.arange(1, 6) * 2 ** 31 + 1  # int64 that doubles round
+    cols = [np.array([0.1, 1 / 3, -2.5, 1e-5, 3e20], np.float32),
+            big, big.tolist(), [2 ** 63 - 1, -2 ** 63, 2 ** 64, 2 ** 70, 3],
+            np.array([True, False, True, True, False]), [True, 1, 0.1, -0.0, 7],
+            np.arange(5, dtype=np.uint64) * (2 ** 62 + 2 ** 31 + 1)]
+    header = [f"c{j}" for j in range(len(cols))]
+    with pieces(piece, len(cols) + 1):
+        numbers = render_csv(header, cols)
+        with_text = render_csv(header + ["w"], cols + [["w"] * 5])
+    assert numbers == with_text.replace(",w\n", "\n")
+    assert numbers == per_cell(header, cols)
+
+
+def percent_17g_of_digits(d, e, negative):
+    """``'%.17g'`` of the exact decimal ``(-1)**negative * d * 10**(e - 16)``,
+    in the fixed notation that ``%.17g`` uses for e in -4..16."""
+    digits = str(d)
+    whole, frac = (digits[:e + 1], digits[e + 1:]) if e >= 0 else (
+        "0", "0" * (-e - 1) + digits)
+    frac = frac.rstrip("0")
+    return "-" * negative + whole + ("." + frac if frac else "")
+
+
+def laid_out(d, e, negative):
+    """The text that the render kernel lays out for 17 digits ``d`` at decimal
+    exponent ``e``: pair words, the place table and one drop-mask gather."""
+    place, drop = csvio._tables()
+    cells = np.zeros((len(d), 5), np.uint64)
+    signed = np.array(d, np.int64) + 10 ** 17 * np.array(negative)
+    code = csvio._digit_words(signed, cells, place) + 17 * (np.array(e) + 4)
+    cells |= drop.take(code, axis=0)
+    cells.view(np.uint8)[:, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\xff").decode().splitlines()
+
+
+def seventeen_digit_cases():
+    """17-digit integers: 10**16 and 10**17 - 1; a zero at each place after
+    the leading digit, so on each side of each boundary between the four
+    4-digit groups; a last nonzero digit at each place 0..16."""
+    cases = [10 ** 16, 10 ** 17 - 1, 10 ** 16 + 1, 2 * 10 ** 16 - 1]
+    for place in range(1, 17):
+        # a zero at `place` only, and zeros from the leading digit up to it
+        cases.append(int("7" + "".join("0" if k == place else "5" for k in range(1, 17))))
+        cases.append(10 ** 16 + 10 ** (16 - place) - 1)
+    for last in range(17):  # the last nonzero digit at place `last`
+        cases.append(4 * 10 ** 16 - 10 ** (16 - last))
+        cases.append(9 * 10 ** 16 + (10 ** (16 - last) if last else 0))
+    return cases
+
+
+def test_digit_groups_at_every_exponent_and_last_place():
+    cases = seventeen_digit_cases()
+    assert {len(str(d)) for d in cases} == {17}
+    lasts = {len(str(d)[1:].rstrip("0")) for d in cases}
+    assert lasts == set(range(17))
+    for e in range(-4, 17):
+        for negative in (False, True):
+            got = laid_out(cases, [e] * len(cases), [negative] * len(cases))
+            assert got == [percent_17g_of_digits(d, e, negative) for d in cases]
+
+
+def test_digit_reference_is_percent_17g_on_exact_doubles():
+    """The reference above is ``'%.17g'``'s rule: checked on doubles whose 17
+    digits are exact, the 17-digit integers that are doubles (e = 16) and the
+    dyadic fractions ``1 + 2**-k``, whose last nonzero digit is at place k."""
+    exact = [d for d in seventeen_digit_cases() if float(d) == d]
+    dyadic = [1 + 2 ** -k for k in range(17)]
+    digits = [int(("%.16e" % x).split("e")[0].replace(".", "")) for x in dyadic]
+    assert len(exact) > 10
+    assert [len(str(d)[1:].rstrip("0")) for d in digits] == list(range(17))
+    for cells, want in [(exact, [percent_17g_of_digits(d, 16, False) for d in exact]),
+                        (dyadic, [percent_17g_of_digits(d, 0, False) for d in digits])]:
+        assert render_csv(["x"], [cells]) == per_cell(["x"], [cells]) == "\n".join(
+            ["x", *want, ""])
+
+
 # --- whole-array parsing against loadtxt ----------------------------------------
 
 def loadtxt(lines):
@@ -419,3 +519,49 @@ def test_benchmark_ensembles_take_the_kernel(tmp_path):
             back = read_ensemble_csv(path)
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         assert back.values.tobytes() == loadtxt(lines)[:, 1:].T.tobytes()
+
+
+# --- both kernels under both SIMD bit classes -----------------------------------
+
+# Finite doubles from fixed bit patterns (numpy's integer generator draws the
+# same bits on any CPU): half the cells in the render kernel's range, all of
+# them zero or normal, so that the parse kernel takes every one.
+SIMD_PROBE = """
+import hashlib
+import numpy as np
+from stokit import csvio
+bits = np.frombuffer(np.random.default_rng(2024).bytes(3 * 4000 * 8), np.uint64)
+bits = bits.reshape(3, 4000).copy()
+exponent = bits >> np.uint64(52) & np.uint64(0x7FF)
+exponent[:, :2000] = exponent[:, :2000] % np.uint64(70) + np.uint64(1023 - 14)
+exponent[exponent == 0x7FF] = 0x7FE
+exponent[exponent == 0] = 1
+bits = bits & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+values = bits.view(np.float64)
+text = csvio.render_csv(["time", "inst_0", "inst_1", "inst_2"],
+                        [np.arange(4000) * 0.25, *values])
+np.loadtxt = None  # the parse kernel takes every cell, or this fails
+back = csvio.parse_ensemble_csv(text)
+assert back.values.tobytes() == values.tobytes()
+digests = [hashlib.sha256(b).hexdigest() for b in (text.encode(), back.values.tobytes())]
+"""
+
+
+def test_csv_kernels_do_not_depend_on_the_simd_target():
+    """The render and parse kernels give the same bytes and bits with numpy's
+    AVX-512 targets disabled, whose transcendental functions round differently."""
+    if "X86_V4" not in _dispatch_targets():
+        pytest.skip("this CPU does not enable X86_V4: no second SIMD bit class")
+    in_process = {}
+    with mock.patch.object(np, "loadtxt"):  # restored after the probe's None
+        exec(SIMD_PROBE, in_process)
+    src = Path(csvio.__file__).parent.parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = SIMD_PROBE + ("from stokit.cli import _dispatch_targets\n"
+                          "print(*digests)\nprint(*_dispatch_targets())")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    digests, targets = done.stdout.splitlines()
+    assert "X86_V4" not in targets.split()
+    assert digests.split() == in_process["digests"]
