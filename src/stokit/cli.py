@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (DomainError, GridError, PositivityError, SchemaError,
-                     SizeError, StabilityError, StokitError)
+from .errors import DomainError, StokitError
 from .processes import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
                         LevyStable, OrnsteinUhlenbeck, Poisson, simulate)
 
@@ -358,19 +357,9 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise DomainError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
-    except PositivityError as exc:
+    except (StokitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, SizeError, StabilityError, GridError,
-            SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StokitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)  # an OSError's is 1
 
 
 if __name__ == "__main__":

@@ -19,10 +19,10 @@ Cells are parsed as whole arrays too.  A cell such as ``%.17g`` writes,
 ``-?D+(.D+)?(e[+-]D{1,3})?`` with at most 19 significant digits, is read
 right-aligned in three 8-byte words; its digits become an integer by SWAR
 arithmetic, and Eisel–Lemire's product with a 128-bit table of 5**q rounds it
-to the nearest double, as ``np.loadtxt`` does.  A piece of rows with any
-other cell, or with a subnormal, overflowing or too-close-to-call value, goes
-to ``np.loadtxt`` as before, so every file parses to the same bits or fails
-with the same error.
+to the nearest double, as ``float()`` does.  A piece of rows with any other
+cell, or with a subnormal, overflowing or too-close-to-call value, is read
+cell by cell by numpy's ``loadtxt`` rule: a cell stripped of whitespace must
+be ASCII, have no "_", and be a finite number to ``float()``.
 
 Tables are written and read in pieces of whole rows of about `_PIECE_CELLS`
 cells, and formatted `_SLICE_CELLS` cells at a time (~90 bytes of temporaries
@@ -33,7 +33,9 @@ file's text.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
+import math
 
 import numpy as np
 
@@ -416,30 +418,25 @@ def _parse_piece(piece: list, header: list[str], source: str) -> np.ndarray:
     lines = [line for _, line in piece]
     if (block := _parse_cells(lines, len(header))) is not None:
         return block.reshape(len(lines), -1)
-    error = None
-    try:
-        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        if block.shape[1] == len(header) and np.isfinite(block).all():
-            return block
-    except ValueError as exc:
-        error = exc
+    values = []
     for number, line in piece:
         if len(cells := line.split(",")) != len(header):
             raise SchemaError(f"{source}:{number}: expected {len(header)} columns, "
                               f"got {len(cells)}")
         for name, cell in zip(header, cells):
             text = cell.strip()
-            try:  # loadtxt's numbers: float()'s without "_" or non-ASCII digits
+            try:  # float()'s numbers without "_" or non-ASCII characters
                 if not text.isascii() or "_" in text:
                     raise ValueError(text)
                 value = float(text)
             except ValueError:
                 raise SchemaError(f"{source}:{number}: bad value {cell!r} "
                                   f"in column {name!r}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise SchemaError(f"{source}:{number}: non-finite value "
                                   f"{value} in column {name!r}")
-    raise SchemaError(f"{source}: {error}")
+            values.append(value)
+    return np.array(values).reshape(len(lines), -1)
 
 
 def _parse_lines(lines, source: str) -> Ensemble:
@@ -478,6 +475,13 @@ def _parse_lines(lines, source: str) -> Ensemble:
     return Ensemble(grid=grid, values=values, spec=None, seed=None)
 
 
+def _lines(open_text, *args, **kwargs):
+    """The lines of the universal-newline text stream ``open_text(*args,
+    **kwargs)``, without their line ends."""
+    with open_text(*args, **kwargs) as stream:
+        yield from (line.rstrip("\n") for line in stream)
+
+
 def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     """Parse the `time,inst_0,...` schema back into an Ensemble.
 
@@ -485,15 +489,10 @@ def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     ``source:LINE:``.  Lines end in LF, CRLF or CR, as `read_ensemble_csv`
     reads them.  The returned ensemble carries no spec/seed provenance.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()  # the end of the last line, not a line of its own
-    return _parse_lines(lambda: iter(lines), source)
+    return _parse_lines(lambda: _lines(io.StringIO, text, newline=None), source)
 
 
 def read_ensemble_csv(path) -> Ensemble:
-    """`parse_ensemble_csv` of a file whose lines end in LF, CRLF or CR."""
-    def lines():
-        with open(path, "r", encoding="utf-8") as fh:
-            yield from (line.rstrip("\n") for line in fh)
-    return _parse_lines(lines, str(path))
+    """`parse_ensemble_csv` of a UTF-8 file; a byte that is not UTF-8 is a bad value."""
+    return _parse_lines(lambda: _lines(open, path, encoding="utf-8",
+                                       errors="surrogateescape"), str(path))

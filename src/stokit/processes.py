@@ -23,7 +23,7 @@ Discretization choices:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class TimeGrid:
     def from_horizon(cls, horizon: float, dt: float) -> "TimeGrid":
         """Grid of horizon / dt steps; the horizon must be a whole number of
         steps to within 1e-9, as the SPDE spatial grid must be of dx."""
+        if not (math.isfinite(horizon) and math.isfinite(dt)):
+            raise DomainError(f"horizon {horizon} and dt {dt} must be finite")
         if dt <= 0.0:
             raise DomainError(f"dt must be > 0, got {dt}")
         if horizon < dt:
@@ -309,21 +311,25 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
              seed: int, workers: int = 1) -> Ensemble:
     """Simulate an ensemble of independent trajectories.
 
-    Instance i draws only from ``substream(seed, i)``.  Instances run in row
-    blocks of about ``_BUDGET`` draws, each drawn from the block stream of
-    its instance ids; ``workers`` threads map the blocks (the calling thread
-    runs them when ``workers`` is 1), and with any count the result is
-    byte-identical to the single-threaded run.
+    Every field of ``spec`` must be finite.  Instance i draws only from
+    ``substream(seed, i)``.  Instances run in row blocks of about
+    ``_BUDGET`` draws, each drawn from the block stream of its instance ids;
+    ``workers`` threads map the blocks (the calling thread runs them when
+    ``workers`` is 1), and with any count the result is byte-identical to
+    the single-threaded run.
     """
     if num_instances < 1:
         raise SizeError(f"num_instances must be >= 1, got {num_instances}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    grid = TimeGrid.from_horizon(horizon, dt)
-    _check_scheme(spec, grid.dt)
     kernel = next((k for types, k in _KERNELS if isinstance(spec, types)), None)
     if kernel is None:
         raise DomainError(f"unknown process spec {type(spec).__name__}")
+    for name in (f.name for f in fields(spec)):
+        if not math.isfinite(value := getattr(spec, name)):
+            raise DomainError(f"{name} must be finite, got {value}")
+    grid = TimeGrid.from_horizon(horizon, dt)
+    _check_scheme(spec, grid.dt)
     values = np.empty((num_instances, grid.n_steps + 1))
     thetas = np.empty_like(values) if isinstance(spec, AdaptiveOU) else None
     rows = max(1, _BUDGET // grid.n_steps)

@@ -73,6 +73,10 @@ class FieldSolution:
 
 def simulate_heat_spde(spec: SpdeSpec, dx: float, dt: float, horizon: float,
                        seed: int) -> FieldSolution:
+    for name, value in (("dx", dx), ("kappa", spec.kappa), ("sigma", spec.sigma),
+                        ("length", spec.length)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if dx <= 0.0:
         raise DomainError(f"dx must be > 0, got {dx}")
     grid = TimeGrid.from_horizon(horizon, dt)

@@ -1,15 +1,17 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from stokit import (GeometricBrownian, OrnsteinUhlenbeck, cli, csvio, growth_rates,
-                    quantile_fan, simulate, summary_curves)
+from stokit import (GeometricBrownian, OrnsteinUhlenbeck, cli, csvio, errors,
+                    growth_rates, quantile_fan, simulate, summary_curves)
 from stokit.cli import _dispatch_targets, main
 from stokit.csvio import read_ensemble_csv
 
@@ -70,6 +72,17 @@ class TestSimulateCommand:
         assert not out.exists()
         assert run(["simulate", "levy", "--alpha", 1, "--beta", 0.5, "--scale", 1,
                     "--t", 1, "--dt", 0.1, "--n", 2, "--out", out]) == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mu", "nan"), ("--sigma", "inf"), ("--t", "nan"), ("--t", "inf"),
+        ("--dt", "nan")])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, flag, value):
+        flags = {"--mu": 0.05, "--sigma": 0.2, "--t": 1, "--dt": 0.1, "--n": 2,
+                 flag: value}
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "gbm", *sum(flags.items(), ()), "--out", out]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_partial_step_horizon_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -156,6 +169,14 @@ class TestDiagnoseCommand:
         bad.write_text("time,inst_0\n0,1\n0.1,two\n")
         assert run(["diagnose", "--in", bad, "--summary",
                     "--out-prefix", tmp_path / "x"]) == 2
+
+    def test_byte_that_is_not_utf8_exits_2_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"time,inst_0\n0,1\n0.1,\xff\n")
+        assert run(["diagnose", "--in", bad, "--fan",
+                    "--out-prefix", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: bad value '\\udcff' in column 'inst_0'\n")
 
     def test_inline_simulation(self, tmp_path):
         prefix = tmp_path / "inline"
@@ -268,6 +289,13 @@ class TestSpdeCommand:
         assert (tmp_path / "d_field.svg").exists()
         assert (tmp_path / "d_profiles.svg").exists()
 
+    def test_non_finite_dx_exits_2(self, tmp_path, capsys):
+        code = run(["spde", "--kappa", 0.1, "--sigma", 0, "--L", 1,
+                    "--dx", "nan", "--dt", 0.01, "--t", 0.1,
+                    "--out-prefix", tmp_path / "u"])
+        assert code == 2
+        assert "dx must be finite" in capsys.readouterr().err
+
     def test_bad_boundary_exits_2(self, tmp_path, capsys):
         code = run(["spde", "--kappa", 0.1, "--L", 1, "--dx", 0.125, "--dt",
                     0.01, "--t", 0.1, "--boundary", "dirichlet:1",
@@ -302,6 +330,14 @@ class TestEvolveCommand:
         code = run(["evolve", "--mu", 0.05, "--sigma", 0.2, "--agents", 1,
                     "--out", tmp_path / "x.csv"])
         assert code == 2
+
+    def test_non_finite_drift_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["evolve", "--mu", "nan", "--sigma", 0.2, "--agents", 4,
+                    "--generations", 2, "--t", 1, "--paths", 2, "--out", out])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: mu must be finite, got nan\n")
+        assert not out.exists()
 
 
 class TestReplicateCommand:
@@ -424,3 +460,30 @@ def test_start_up_loads_only_what_the_command_runs(tmp_path):
             "--dt", "0.1", "--n", "3", "--out", str(tmp_path / "x.csv")]
     assert _loaded_after(f"import stokit.cli; assert stokit.cli.main({argv!r}) == 0") == {
         "stokit.cli", "stokit.csvio", "stokit.errors", "stokit.processes", "stokit.rng"}
+
+
+def readme_exit_codes():
+    """{error class name: exit code}, from the README's table of exit codes."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\d)` \|[^|]*\|([^|]*)\|$", readme, re.MULTILINE)
+    return {name: int(code) for code, names in rows
+            for name in re.findall(r"`(\w+)`", names)}
+
+
+ERRORS = [value for value in vars(errors).values()
+          if isinstance(value, type) and issubclass(value, errors.StokitError)]
+
+
+def test_readme_names_every_error_once():
+    assert sorted(readme_exit_codes()) == sorted(e.__name__ for e in [*ERRORS, OSError])
+
+
+@pytest.mark.parametrize("error", [*ERRORS, OSError], ids=lambda error: error.__name__)
+def test_each_error_exits_with_its_readme_code(tmp_path, capsys, error):
+    code = readme_exit_codes()[error.__name__]
+    if error is not OSError:
+        assert error.exit_code == code
+    with mock.patch.object(cli, "cmd_simulate", side_effect=error("boom")):
+        assert run(["simulate", "gbm", "--mu", 0, "--sigma", 0, "--t", 1, "--dt", 0.1,
+                    "--n", 1, "--out", tmp_path / "x.csv"]) == code
+    assert capsys.readouterr().err == "error: boom\n"

@@ -235,6 +235,14 @@ def test_fault_in_any_piece_names_its_file_line(tmp_path, piece, text, message):
     assert str(from_file.value) == message.replace("src.csv", str(path), 1)
 
 
+def test_a_byte_that_is_not_utf8_is_a_bad_value(tmp_path):
+    path = tmp_path / "src.csv"
+    path.write_bytes(b"time,inst_0\n0,1\n0.1,\xff\n")
+    with pytest.raises(SchemaError) as info:
+        read_ensemble_csv(path)
+    assert str(info.value) == f"{path}:3: bad value '\\udcff' in column 'inst_0'"
+
+
 def test_rows_lost_between_the_two_passes_are_reported():
     passes = iter([["time,inst_0", "0,1", "1,2", "2,3"], ["time,inst_0", "0,1", "1,2"]])
     with pytest.raises(SchemaError, match="file changed while being read"):
@@ -414,8 +422,17 @@ def loadtxt(lines):
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
-no_loadtxt = mock.patch.object(np, "loadtxt",
-                               side_effect=AssertionError("loadtxt called"))
+@contextlib.contextmanager
+def kernel_only():
+    """Fail if the parse kernel declines a piece, which the walker then reads."""
+    kernel = csvio._parse_cells
+
+    def taken(lines, n_columns):
+        assert (block := kernel(lines, n_columns)) is not None, "a piece left the kernel"
+        return block
+
+    with mock.patch.object(csvio, "_parse_cells", taken):
+        yield
 
 
 def kernel_is_loadtxt_or_declines(cells):
@@ -490,11 +507,40 @@ def test_kernel_declines_a_wrong_row_width():
     assert csvio._parse_cells(["1,2,3", "4"], 2) is None
 
 
+malformed = st.sampled_from(["1E5", "+1", " 1.5", "1_0", "\uff12", "0x10", "nan", ""])
+# up to five formatted cells and up to two malformed ones, in any order
+mixed_cells = st.tuples(st.lists(formatted, max_size=5), st.lists(malformed, max_size=2)
+                        ).map(lambda t: t[0] + t[1]).filter(bool).flatmap(st.permutations)
+
+
+@given(mixed_cells)
+def test_walker_is_loadtxt_or_both_refuse(cells):
+    """A piece that the kernel declines parses cell by cell to loadtxt's bits,
+    or both refuse it: loadtxt raises or reads a non-finite number.  Cells
+    are read as one row and as one column."""
+    for lines in ([",".join(cells)], cells):
+        if not (lines := [line for line in lines if line]):  # blank lines are skipped
+            continue
+        header = ["time"] + [f"inst_{i}" for i in range(lines[0].count(","))]
+        try:
+            want = loadtxt(lines)
+        except ValueError:
+            want = None
+        piece = list(enumerate(lines, 2))
+        with mock.patch.object(csvio, "_parse_cells", return_value=None):
+            if want is None or not np.isfinite(want).all():
+                with pytest.raises(SchemaError, match="^src.csv:[0-9]+: "):
+                    csvio._parse_piece(piece, header, "src.csv")
+            else:
+                got = csvio._parse_piece(piece, header, "src.csv")
+                assert got.tobytes() == want.tobytes()
+
+
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(2, 5), st.integers(1, 3), st.data())
 def test_written_normal_cells_take_the_kernel(tmp_path, n_rows, n_inst, data):
     """Every finite cell that `write_csv` writes that is zero or normal parses
-    without loadtxt."""
+    in the kernel."""
     cells = st.tuples(st.one_of(st.just(0.0), normal_doubles), st.booleans()).map(
         lambda t: -t[0] if t[1] else t[0])
     values = np.array([data.draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
@@ -502,20 +548,20 @@ def test_written_normal_cells_take_the_kernel(tmp_path, n_rows, n_inst, data):
     header = ["time"] + [f"inst_{i}" for i in range(n_inst)]
     path = tmp_path / "e.csv"
     write_csv(path, header, [np.arange(n_rows) * 0.01, *values])
-    with no_loadtxt:
+    with kernel_only():
         back = read_ensemble_csv(path)
     assert back.values.tobytes() == values.tobytes()
 
 
 def test_benchmark_ensembles_take_the_kernel(tmp_path):
-    """The `simulate` CSVs that `diagnose --in` reads parse without loadtxt."""
+    """The `simulate` CSVs that `diagnose --in` reads parse in the kernel."""
     path = tmp_path / "e.csv"
     for family, flags in [("gbm", ["--mu", "0.05", "--sigma", "0.2"]),
                           ("glevy", ["--alpha", "1.55", "--beta", "0.2",
                                      "--scale", "0.35", "--loc", "0.02"])]:
         assert cli.main(["simulate", family, *flags, "--t", "10", "--dt", "0.01",
                          "--n", "20", "--seed", "4", "--out", str(path)]) == 0
-        with no_loadtxt:
+        with kernel_only():
             back = read_ensemble_csv(path)
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         assert back.values.tobytes() == loadtxt(lines)[:, 1:].T.tobytes()
@@ -540,7 +586,15 @@ bits = bits & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
 values = bits.view(np.float64)
 text = csvio.render_csv(["time", "inst_0", "inst_1", "inst_2"],
                         [np.arange(4000) * 0.25, *values])
-np.loadtxt = None  # the parse kernel takes every cell, or this fails
+kernel = csvio._parse_cells
+
+
+def kernel_only(lines, n_columns):  # the parse kernel takes every cell, or this fails
+    assert (block := kernel(lines, n_columns)) is not None, "a piece left the kernel"
+    return block
+
+
+csvio._parse_cells = kernel_only
 back = csvio.parse_ensemble_csv(text)
 assert back.values.tobytes() == values.tobytes()
 digests = [hashlib.sha256(b).hexdigest() for b in (text.encode(), back.values.tobytes())]
@@ -553,7 +607,7 @@ def test_csv_kernels_do_not_depend_on_the_simd_target():
     if "X86_V4" not in _dispatch_targets():
         pytest.skip("this CPU does not enable X86_V4: no second SIMD bit class")
     in_process = {}
-    with mock.patch.object(np, "loadtxt"):  # restored after the probe's None
+    with mock.patch.object(csvio, "_parse_cells", csvio._parse_cells):  # restored
         exec(SIMD_PROBE, in_process)
     src = Path(csvio.__file__).parent.parent
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",

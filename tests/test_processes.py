@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -49,6 +50,24 @@ class TestSpecs:
         for horizon, dt in ((1.0, 0.3), (1.0, 0.15), (0.0105, 0.01)):
             with pytest.raises(GridError):
                 TimeGrid.from_horizon(horizon, dt)
+        for horizon, dt in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan),
+                            (1.0, math.inf)):
+            with pytest.raises(DomainError, match="must be finite"):
+                TimeGrid.from_horizon(horizon, dt)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("spec", [
+        Brownian(), GeometricBrownian(0.05, 0.2), LevyStable(1.5, 0.0, 0.3),
+        GeometricLevy(1.5, 0.0, 0.3), OrnsteinUhlenbeck(1.0, 0.0, 0.3, 0.0),
+        AdaptiveOU(1.0, 0.0, 0.3, 0.0, eta=0.5, band=0.1, theta_max=5.0),
+        Poisson(2.0)], ids=lambda spec: type(spec).__name__)
+    def test_non_finite_fields_rejected(self, spec, bad):
+        """A spec with any field not finite is refused, when it is built or
+        when it is simulated, never run to nan paths."""
+        for spec_field in dataclasses.fields(spec):
+            with pytest.raises(DomainError):
+                simulate(dataclasses.replace(spec, **{spec_field.name: bad}),
+                         1.0, 0.1, 2, 1)
 
 
 class TestSteps:

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,15 @@ def test_grid_must_divide_length():
 def test_horizon_must_be_whole_steps():
     with pytest.raises(GridError):
         simulate_heat_spde(sine_spec(), 0.1, 0.001, 0.0105, 0)
+
+
+@pytest.mark.parametrize("name", ["dx", "kappa", "sigma", "length"])
+def test_non_finite_numbers_rejected(name):
+    spec = sine_spec()
+    if name != "dx":
+        spec = dataclasses.replace(spec, **{name: math.nan})
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        simulate_heat_spde(spec, math.nan if name == "dx" else 0.1, 1e-3, 0.1, 0)
 
 
 def test_bad_initial_profile_length():
