@@ -161,6 +161,9 @@ class PoolConfig:
     initial_fraction: float | None = None
 
     def __post_init__(self):
+        for name in ("mutation_sd", "f_min", "f_max"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.n_agents < 2:
             raise DomainError(f"n_agents must be >= 2, got {self.n_agents}")
         if self.generations < 1:

@@ -56,15 +56,14 @@ def _spec_from_flags(family: str, args: argparse.Namespace):
     return spec_type(**kwargs)
 
 
-def _add_spec_flags(parser: argparse.ArgumentParser, families,
-                    show_help: bool = True) -> None:
-    """One float flag per field of the families' spec types."""
+def _add_spec_flags(parser: argparse.ArgumentParser, families) -> None:
+    """One float flag per spec field, with help only for a single family."""
     flags = {f.name: f.default for family in families
              for f in fields(_FAMILY_TYPES[family])}
     for name, default in flags.items():
         helptext = "required" if default is MISSING else f"default {default}"
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None,
-                            help=helptext if show_help else argparse.SUPPRESS)
+                            help=helptext if len(families) == 1 else argparse.SUPPRESS)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -234,6 +233,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
+    from .csvio import write_csv
     from .figures import build_all
     bundles = build_all(args.seed, workers=args.workers)
     outdir = Path(args.outdir)
@@ -250,7 +250,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         manifest_lines.append(f"# {bundle.note}")
         csv_path = outdir / f"{bundle.name}.csv"
         svg_path = outdir / f"{bundle.name}.svg"
-        csv_path.write_text(bundle.csv_text, encoding="utf-8")
+        write_csv(csv_path, *bundle.table)
         svg_path.write_text(bundle.svg_text, encoding="utf-8")
         files.extend([csv_path, svg_path])
     for path in files:
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ensemble CSV produced by 'simulate'")
     p_diag.add_argument("--family", choices=sorted(_FAMILY_TYPES), default=None,
                         help="simulate inline instead of reading --in")
-    _add_spec_flags(p_diag, _FAMILY_TYPES, show_help=False)
+    _add_spec_flags(p_diag, _FAMILY_TYPES)
     p_diag.add_argument("--t", type=float, default=None)
     p_diag.add_argument("--dt", type=float, default=None)
     p_diag.add_argument("--n", type=int, default=None)
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evo = sub.add_parser("evolve", help="evolutionary leverage search")
     evolve_families = ("gbm", "glevy")
     p_evo.add_argument("--family", choices=evolve_families, default="gbm")
-    _add_spec_flags(p_evo, evolve_families, show_help=False)
+    _add_spec_flags(p_evo, evolve_families)
     p_evo.add_argument("--agents", type=int, default=40)
     p_evo.add_argument("--generations", type=int, default=30)
     p_evo.add_argument("--mutation-sd", type=float, default=0.1)

@@ -27,7 +27,9 @@ be ASCII, have no "_", and be a finite number to ``float()``.
 Tables are written and read in pieces of whole rows of about `_PIECE_CELLS`
 cells, and formatted `_SLICE_CELLS` cells at a time (~90 bytes of temporaries
 per cell), so the memory beyond a table's own arrays is one piece, not the
-file's text.
+file's text.  Every CSV file, the figure CSVs included, is written by
+`write_csv`; files and strings are read by one UTF-8 byte reader, so parsing
+a string holds about its UTF-8 bytes and one piece.
 """
 
 from __future__ import annotations
@@ -475,11 +477,11 @@ def _parse_lines(lines, source: str) -> Ensemble:
     return Ensemble(grid=grid, values=values, spec=None, seed=None)
 
 
-def _lines(open_text, *args, **kwargs):
-    """The lines of the universal-newline text stream ``open_text(*args,
-    **kwargs)``, without their line ends."""
-    with open_text(*args, **kwargs) as stream:
-        yield from (line.rstrip("\n") for line in stream)
+def _lines(open_binary):
+    """The UTF-8 lines of the binary stream ``open_binary()``, opened and closed
+    here, without their LF, CRLF or CR ends; a non-UTF-8 byte is a lone surrogate."""
+    with io.TextIOWrapper(open_binary(), "utf-8", "surrogateescape", newline=None) as fh:
+        yield from (line.rstrip("\n") for line in fh)
 
 
 def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
@@ -489,10 +491,10 @@ def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     ``source:LINE:``.  Lines end in LF, CRLF or CR, as `read_ensemble_csv`
     reads them.  The returned ensemble carries no spec/seed provenance.
     """
-    return _parse_lines(lambda: _lines(io.StringIO, text, newline=None), source)
+    data = text.encode("utf-8", "surrogatepass")
+    return _parse_lines(lambda: _lines(functools.partial(io.BytesIO, data)), source)
 
 
 def read_ensemble_csv(path) -> Ensemble:
     """`parse_ensemble_csv` of a UTF-8 file; a byte that is not UTF-8 is a bad value."""
-    return _parse_lines(lambda: _lines(open, path, encoding="utf-8",
-                                       errors="surrogateescape"), str(path))
+    return _parse_lines(lambda: _lines(functools.partial(open, path, "rb")), str(path))

@@ -1,9 +1,9 @@
 """Builders for the five replication figures (data + graphics), and the
 diagnostic tables and charts they share with the CLI.
 
-Each table builder returns ``(header, columns)`` for ``render_csv``.  Each
-figure builder returns the figure's CSV text, its SVG document, and a note
-for the run manifest.  Everything is a pure function of the seed.
+Each table builder returns ``(header, columns)`` for ``write_csv``.  Each
+figure builder returns the figure's table, its SVG document, and a note for
+the run manifest.  Everything is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import render_csv
 from .diagnostics import (DEFAULT_FAN_LEVELS, PreasymptoticReport, QuantileFan,
                           SummaryCurves, preasymptotic_report, quantile_fan,
                           summary_curves)
@@ -35,15 +34,15 @@ FIG5_PARAMS = dict(kappa=0.1, sigma=0.15, length=1.0, dx=1.0 / 64, dt=1e-3, t=0.
 _FIG2_TRAJECTORIES = 12
 
 
+Table = tuple[list[str], list]  # (header, columns) for write_csv
+
+
 @dataclass(frozen=True)
 class FigureBundle:
     name: str
-    csv_text: str
+    table: Table
     svg_text: str
     note: str
-
-
-Table = tuple[list[str], list]  # (header, columns) for render_csv
 
 
 # --- tables and charts shared by the figures and the CLI -------------------
@@ -139,8 +138,8 @@ def build_fig1(seed: int, workers: int = 1) -> FigureBundle:
     note = (f"fig1: brownian drift={p['drift']} scale={p['scale']} t={p['t']} "
             f"dt={p['dt']} n={p['n']}; {_GLEVY_NOTE} t={q['t']} dt={q['dt']} n={q['n']}; "
             f"levels={','.join(str(v) for v in DEFAULT_FAN_LEVELS)}")
-    return FigureBundle("fig1", render_csv(bm_header + gl_header,
-                                           bm_columns + gl_columns), svg, note)
+    return FigureBundle("fig1", (bm_header + gl_header, bm_columns + gl_columns),
+                        svg, note)
 
 
 def build_fig2(seed: int, workers: int = 1) -> FigureBundle:
@@ -166,7 +165,7 @@ def build_fig2(seed: int, workers: int = 1) -> FigureBundle:
     ])
     note = (f"fig2: {_GLEVY_NOTE} t={q['t']} dt={q['dt']} n={q['n']}; "
             f"{_FIG2_TRAJECTORIES} trajectories shown")
-    return FigureBundle("fig2", render_csv(header, columns), svg, note)
+    return FigureBundle("fig2", (header, columns), svg, note)
 
 
 def build_fig3(seed: int) -> FigureBundle:
@@ -196,7 +195,7 @@ def build_fig3(seed: int) -> FigureBundle:
     note = (f"fig3: ou/aou theta0={p['theta0']} mean={p['mean']} scale={p['scale']} "
             f"x0={p['x0']} eta={p['eta']} band={p['band']} "
             f"bounds=[{p['theta_min']},{p['theta_max']}] t={p['t']} dt={p['dt']}")
-    return FigureBundle("fig3", render_csv(header, columns), svg, note)
+    return FigureBundle("fig3", (header, columns), svg, note)
 
 
 def build_fig4(seed: int) -> FigureBundle:
@@ -219,7 +218,7 @@ def build_fig4(seed: int) -> FigureBundle:
     note = (f"fig4: {_GLEVY_NOTE} t={p['t']} dt={p['dt']}; log-wealth, "
             f"tail_fraction={p['tail_fraction']} window={p['window']}; "
             f"asymptote slope={report.slope:.17g} intercept={report.intercept:.17g}")
-    return FigureBundle("fig4", render_csv(*preasym_table(report, times)), svg, note)
+    return FigureBundle("fig4", preasym_table(report, times), svg, note)
 
 
 def build_fig5(seed: int) -> FigureBundle:
@@ -233,7 +232,7 @@ def build_fig5(seed: int) -> FigureBundle:
     note = (f"fig5: heat spde kappa={p['kappa']} sigma={p['sigma']} "
             f"L={p['length']} dx={p['dx']:.17g} dt={p['dt']} t={p['t']} "
             f"dirichlet 0/0, sine initial profile")
-    return FigureBundle("fig5", render_csv(*field_table(field)), svg, note)
+    return FigureBundle("fig5", field_table(field), svg, note)
 
 
 def build_all(seed: int, workers: int = 1) -> list[FigureBundle]:

@@ -31,6 +31,11 @@ class Dirichlet:
     left: float = 0.0
     right: float = 0.0
 
+    def __post_init__(self):
+        for name in ("left", "right"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise DomainError(f"{name} boundary value must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class Neumann:

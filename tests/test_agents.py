@@ -272,6 +272,15 @@ class TestEvolution:
                        survivor_share=0.25, horizon=1.0, dt=0.01,
                        paths_per_eval=5, f_min=2.0, f_max=1.0, seed=1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["mutation_sd", "f_min", "f_max"])
+    def test_non_finite_config_numbers_rejected(self, name, value):
+        config = dict(n_agents=4, generations=2, mutation_sd=0.1,
+                      survivor_share=0.25, horizon=1.0, dt=0.01,
+                      paths_per_eval=2, f_min=0.0, f_max=3.0, seed=1)
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got"):
+            PoolConfig(**{**config, name: value})
+
     def test_zero_mutation_uniform_start_stays_put(self):
         cfg = PoolConfig(n_agents=8, generations=5, mutation_sd=0.0,
                          survivor_share=0.5, horizon=10.0, dt=0.01,

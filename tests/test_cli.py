@@ -156,6 +156,24 @@ class TestDiagnoseCommand:
                     "--out-prefix", tmp_path / "x"])
         assert code == 2
 
+    def test_fan_levels_name_their_columns_in_percent(self, gbm_csv, tmp_path):
+        prefix = tmp_path / "f"
+        assert run(["diagnose", "--in", gbm_csv, "--fan-levels", "0.025,0.5",
+                    "--out-prefix", prefix]) == 0
+        assert Path(f"{prefix}_fan.csv").read_text().splitlines()[0] == "time,q2.5,q50"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--in", "{csv}", "--fan-levels", "0.5,x"], "bad --fan-levels value"),
+        (["--fan"], "no input: pass --in FILE or a process family"),
+        (["--family", "gbm", "--mu", 0.05, "--sigma", 0.2, "--dt", 0.01, "--n", 5,
+          "--fan"], "--t is required when simulating inline"),
+    ], ids=["levels_not_numbers", "no_input", "inline_without_t"])
+    def test_usage_fault_exits_2(self, gbm_csv, tmp_path, capsys, argv, message):
+        argv = [str(a).format(csv=gbm_csv) for a in argv]
+        assert run(["diagnose", *argv, "--out-prefix", tmp_path / "x"]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [gbm_csv]  # nothing written
+
     def test_positivity_error_exits_1(self, tmp_path):
         src = tmp_path / "signed.csv"
         run(["simulate", "brownian", "--drift", 0, "--scale", 1, "--t", 1,
@@ -304,6 +322,30 @@ class TestSpdeCommand:
         assert "dirichlet:LEFT,RIGHT" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("boundary, message", [
+        ("dirichlet:a,0", "bad --boundary value: could not convert"),
+        ("robin", "use dirichlet, dirichlet:LEFT,RIGHT, or neumann"),
+        ("dirichlet:nan,0", "left boundary value must be finite, got nan"),
+        ("dirichlet:0,-inf", "right boundary value must be finite, got -inf"),
+    ], ids=["not_a_number", "robin", "left_nan", "right_minus_inf"])
+    def test_malformed_boundary_exits_2(self, tmp_path, capsys, boundary, message):
+        code = run(["spde", "--kappa", 0.1, "--L", 1, "--dx", 0.125, "--dt",
+                    0.01, "--t", 0.1, "--boundary", boundary,
+                    "--out-prefix", tmp_path / "b"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_dirichlet_is_zero_at_both_ends(self, tmp_path):
+        argv = ["spde", "--kappa", 0.1, "--sigma", 0.2, "--L", 1, "--dx", 0.125,
+                "--dt", 0.01, "--t", 0.2, "--seed", 4, "--boundary"]
+        assert run([*argv, "dirichlet", "--out-prefix", tmp_path / "bare"]) == 0
+        assert run([*argv, "dirichlet:0,0", "--out-prefix", tmp_path / "zero"]) == 0
+        for name in ("field", "profiles"):
+            assert ((tmp_path / f"bare_{name}.csv").read_bytes()
+                    == (tmp_path / f"zero_{name}.csv").read_bytes())
+
+
 class TestEvolveCommand:
     def test_zero_mutation_reports_constant(self, tmp_path, capsys):
         out = tmp_path / "evo.csv"
@@ -337,6 +379,18 @@ class TestEvolveCommand:
                     "--generations", 2, "--t", 1, "--paths", 2, "--out", out])
         assert code == 2
         assert capsys.readouterr() == ("", "error: mu must be finite, got nan\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag", ["--f-min", "--f-max", "--mutation-sd"])
+    def test_non_finite_pool_number_exits_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        code = run(["evolve", "--mu", 0.05, "--sigma", 0.2, "--agents", 4,
+                    "--generations", 2, "--t", 1, "--paths", 2, flag, "nan",
+                    "--out", out])
+        assert code == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr() == ("", f"error: {name} must be finite, got nan\n")
         assert not out.exists()
 
 

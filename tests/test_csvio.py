@@ -2,6 +2,7 @@ import contextlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stokit import Brownian, SchemaError, cli, csvio, simulate
+from stokit import Brownian, GeometricLevy, SchemaError, cli, csvio, simulate
 from stokit.cli import _dispatch_targets
 from stokit.csvio import (ensemble_to_csv, parse_ensemble_csv, read_ensemble_csv,
                           render_csv, write_csv)
@@ -247,6 +248,28 @@ def test_rows_lost_between_the_two_passes_are_reported():
     passes = iter([["time,inst_0", "0,1", "1,2", "2,3"], ["time,inst_0", "0,1", "1,2"]])
     with pytest.raises(SchemaError, match="file changed while being read"):
         csvio._parse_lines(lambda: iter(next(passes)), "src.csv")
+
+
+def test_string_parse_holds_its_utf8_bytes_and_one_piece(tmp_path):
+    """`parse_ensemble_csv` reads a string through the file reader's UTF-8
+    stream: beyond the ensemble array it holds the text's UTF-8 bytes and one
+    piece (about 2x the text), not a 4-byte-per-character copy of it (5x), and
+    it gives the bits `read_ensemble_csv` gives for the same file."""
+    ensemble = simulate(GeometricLevy(alpha=1.55, beta=0.2, scale=0.35, loc=0.02),
+                        10.0, 0.01, 300, 6)
+    path = tmp_path / "e.csv"
+    write_csv(path, *csvio.ensemble_table(ensemble))
+    text = path.read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        parsed = parse_ensemble_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - parsed.values.nbytes < 3 * len(text)
+    read = read_ensemble_csv(path)
+    assert parsed.values.tobytes() == read.values.tobytes() == ensemble.values.tobytes()
+    assert parsed.grid == read.grid
 
 
 # --- whole-array formatting against the per-cell rule --------------------------

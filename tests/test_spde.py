@@ -53,6 +53,13 @@ def test_non_finite_numbers_rejected(name):
         simulate_heat_spde(spec, math.nan if name == "dx" else 0.1, 1e-3, 0.1, 0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_non_finite_dirichlet_values_rejected(side, value):
+    with pytest.raises(DomainError, match=f"^{side} boundary value must be finite"):
+        Dirichlet(**{side: value})
+
+
 def test_bad_initial_profile_length():
     spec = SpdeSpec(kappa=0.1, sigma=0.0, length=1.0,
                     boundary=Dirichlet(0.0, 0.0), initial_profile=[0.0, 1.0])
