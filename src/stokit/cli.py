@@ -66,10 +66,10 @@ def _add_spec_flags(parser: argparse.ArgumentParser, families) -> None:
                             help=helptext if len(families) == 1 else argparse.SUPPRESS)
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t", type=float, required=True, help="horizon")
-    parser.add_argument("--dt", type=float, required=True, help="time step")
-    parser.add_argument("--n", type=int, required=True, help="instances")
+def _add_run_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--t", type=float, required=required, help="horizon")
+    parser.add_argument("--dt", type=float, required=required, help="time step")
+    parser.add_argument("--n", type=int, required=required, help="instances")
     parser.add_argument("--seed", type=int, default=12345)
     parser.add_argument("--workers", type=int, default=1)
 
@@ -121,9 +121,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_svg(path: str, bundle) -> None:
-    from .svgplot import render_svg
-    Path(path).write_text(render_svg(bundle), encoding="utf-8")
+def _write_outputs(prefix: str, outputs) -> None:
+    """Write ``<prefix>_<name>.csv`` for each ``(name, table, svg)``, and
+    ``<prefix>_<name>.svg`` when ``svg`` is not None.  Handlers compute every
+    output before they call this, so a run that fails writes no file."""
+    from .csvio import write_csv
+    for name, table, svg in outputs:
+        write_csv(f"{prefix}_{name}.csv", *table)
+        if svg is not None:
+            Path(f"{prefix}_{name}.svg").write_text(svg, encoding="utf-8")
 
 
 # --- command handlers -----------------------------------------------------
@@ -138,12 +144,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    from .csvio import read_ensemble_csv, write_csv
-    from .diagnostics import (DEFAULT_FAN_LEVELS, _SortOnce, growth_rates,
+    from .csvio import read_ensemble_csv
+    from .diagnostics import (DEFAULT_FAN_LEVELS, growth_rates,
                               preasymptotic_report, quantile_fan, summary_curves)
     from .figures import (fan_series, fan_table, preasym_series, preasym_table,
                           summary_series, summary_table)
-    from .svgplot import LineBundle
+    from .svgplot import LineBundle, render_svg
+    want_fan = args.fan or args.fan_levels is not None
+    if not (want_fan or args.summary or args.growth or args.preasym):
+        raise DomainError("request at least one diagnostic "
+                          "(--fan/--fan-levels, --summary, --growth, --preasym)")
+    levels = (_parse_levels(args.fan_levels) if args.fan_levels is not None
+              else DEFAULT_FAN_LEVELS)
     if args.infile is not None:
         ensemble = read_ensemble_csv(args.infile)
     else:
@@ -153,63 +165,50 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 raise DomainError(f"--{flag} is required when simulating inline")
         ensemble = simulate(spec, args.t, args.dt, args.n, args.seed,
                             workers=args.workers)
-    want_fan = args.fan or args.fan_levels is not None
-    if not (want_fan or args.summary or args.growth or args.preasym):
-        raise DomainError("request at least one diagnostic "
-                          "(--fan/--fan-levels, --summary, --growth, --preasym)")
-    if want_fan and args.summary:  # both read one sort of each time point
-        ensemble = _SortOnce(ensemble.grid, ensemble.values)
-    prefix = args.out_prefix
     times = ensemble.grid.times
 
+    def chart(title, series):  # the SVG text, when --svg asks for charts
+        return (render_svg(LineBundle(title, "time", "value", series))
+                if args.svg else None)
+
+    outputs = []
     if want_fan:
-        levels = (_parse_levels(args.fan_levels) if args.fan_levels is not None
-                  else DEFAULT_FAN_LEVELS)
         fan = quantile_fan(ensemble, levels)
-        write_csv(f"{prefix}_fan.csv", *fan_table(fan, times))
-        if args.svg:
-            _write_svg(f"{prefix}_fan.svg", LineBundle(
-                "Quantile fan", "time", "value", fan_series(fan, times)))
+        outputs.append(("fan", fan_table(fan, times),
+                        chart("Quantile fan", fan_series(fan, times))))
     if args.summary:
         summary = summary_curves(ensemble)
-        write_csv(f"{prefix}_summary.csv", *summary_table(summary, times))
-        if args.svg:
-            _write_svg(f"{prefix}_summary.svg", LineBundle(
-                "Ensemble summaries", "time", "value",
-                summary_series(summary, times)))
+        outputs.append(("summary", summary_table(summary, times),
+                        chart("Ensemble summaries", summary_series(summary, times))))
     if args.growth:
         rates = growth_rates(ensemble)
-        write_csv(f"{prefix}_growth.csv", ["metric", "value"],
-                  [["time_average", "ensemble_average"],
-                   [rates.time_average, rates.ensemble_average]])
+        table = (["metric", "value"], [["time_average", "ensemble_average"],
+                                       [rates.time_average, rates.ensemble_average]])
+        outputs.append(("growth", table, None))
     if args.preasym:
-        series = ensemble.values[0]  # diagnostics run on inst_0
-        report = preasymptotic_report(series, ensemble.grid,
+        report = preasymptotic_report(ensemble.values[0], ensemble.grid,  # inst_0
                                       tail_fraction=args.tail_fraction,
                                       window=args.preasym_window)
-        write_csv(f"{prefix}_preasym.csv", *preasym_table(report, times))
-        if args.svg:
-            _write_svg(f"{prefix}_preasym.svg", LineBundle(
-                "Preasymptotic diagnostics", "time", "value",
-                preasym_series(report, times)))
+        outputs.append(("preasym", preasym_table(report, times),
+                        chart("Preasymptotic diagnostics",
+                              preasym_series(report, times))))
+    _write_outputs(args.out_prefix, outputs)
     return 0
 
 
 def cmd_spde(args: argparse.Namespace) -> int:
-    from .csvio import write_csv
     from .figures import field_table, heatmap_bundle, profile_bundle, profile_table
     from .spde import SpdeSpec, simulate_heat_spde
+    from .svgplot import render_svg
     boundary = _parse_boundary(args.boundary)
     profile = _INITIAL_PROFILES[args.init](args.L)
     spec = SpdeSpec(kappa=args.kappa, sigma=args.sigma, length=args.L,
                     boundary=boundary, initial_profile=profile)
     field = simulate_heat_spde(spec, args.dx, args.dt, args.t, args.seed)
-    prefix = args.out_prefix
-    write_csv(f"{prefix}_field.csv", *field_table(field))
-    write_csv(f"{prefix}_profiles.csv", *profile_table(field))
-    if args.svg:
-        _write_svg(f"{prefix}_field.svg", heatmap_bundle(field))
-        _write_svg(f"{prefix}_profiles.svg", profile_bundle(field))
+    svgs = ((render_svg(heatmap_bundle(field)), render_svg(profile_bundle(field)))
+            if args.svg else (None, None))
+    _write_outputs(args.out_prefix, [("field", field_table(field), svgs[0]),
+                                     ("profiles", profile_table(field), svgs[1])])
     return 0
 
 
@@ -287,11 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--family", choices=sorted(_FAMILY_TYPES), default=None,
                         help="simulate inline instead of reading --in")
     _add_spec_flags(p_diag, _FAMILY_TYPES)
-    p_diag.add_argument("--t", type=float, default=None)
-    p_diag.add_argument("--dt", type=float, default=None)
-    p_diag.add_argument("--n", type=int, default=None)
-    p_diag.add_argument("--seed", type=int, default=12345)
-    p_diag.add_argument("--workers", type=int, default=1)
+    _add_run_flags(p_diag, required=False)
     p_diag.add_argument("--fan", action="store_true",
                         help="quantile fan at the default levels")
     p_diag.add_argument("--fan-levels", default=None,

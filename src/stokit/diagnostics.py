@@ -6,7 +6,6 @@ All functions are pure; none mutate their inputs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,25 +56,6 @@ def _sorted_by_time(values: np.ndarray) -> np.ndarray:
     return rows
 
 
-class _SortOnce(Ensemble):
-    """An ensemble whose `quantile_fan` and `summary_curves` read one sort of
-    its values.  ``diagnose --fan --summary`` wraps its ensemble in one; the
-    sort is dropped with the wrapper when the command returns."""
-
-    @functools.cached_property
-    def sorted_by_time(self) -> np.ndarray:
-        rows = _sorted_by_time(self.values)
-        rows.setflags(write=False)
-        return rows
-
-
-def _rows(ensemble: Ensemble) -> np.ndarray:
-    """`_sorted_by_time` of the ensemble's values, shared by a `_SortOnce`."""
-    if isinstance(ensemble, _SortOnce):
-        return ensemble.sorted_by_time
-    return _sorted_by_time(ensemble.values)
-
-
 def quantile_fan(ensemble: Ensemble, levels=DEFAULT_FAN_LEVELS) -> QuantileFan:
     """Empirical quantiles per time point: linear interpolation of order
     statistics at position (n-1)p (Hyndman & Fan's definition 7), with the
@@ -90,7 +70,7 @@ def quantile_fan(ensemble: Ensemble, levels=DEFAULT_FAN_LEVELS) -> QuantileFan:
         raise DomainError(f"levels must be strictly increasing, got {levels}")
     if ensemble.num_instances < 2:
         raise SizeError("quantile fan needs at least 2 instances")
-    rows = _rows(ensemble)
+    rows = _sorted_by_time(ensemble.values)
     n = rows.shape[1]
     virtual = (n - 1) * np.array(levels)
     lo = np.floor(virtual)
@@ -115,7 +95,7 @@ def summary_curves(ensemble: Ensemble) -> SummaryCurves:
     values = ensemble.values
     if np.any(values <= 0.0):
         raise PositivityError("geometric mean requires strictly positive values")
-    rows = _rows(ensemble)
+    rows = _sorted_by_time(values)
     n = rows.shape[1]
     median = rows[:, (n - 1) // 2:n // 2 + 1].mean(axis=1)
     np.copyto(median, rows[:, -1], where=np.isnan(rows[:, -1]))

@@ -63,6 +63,9 @@ class TimeGrid:
             raise DomainError(f"dt must be > 0, got {dt}")
         if horizon < dt:
             raise SizeError(f"horizon {horizon} is shorter than one step dt={dt}")
+        if not horizon / dt < np.iinfo(np.intp).max:  # no array has that many steps
+            raise SizeError(f"horizon {horizon} over dt={dt} is {horizon / dt:.6g} "
+                            "steps, more than an array can index")
         n_steps = int(round(horizon / dt))
         if abs(n_steps * dt - horizon) > 1e-9:
             raise GridError(f"horizon {horizon} is not a whole number of steps dt={dt}")
@@ -305,6 +308,10 @@ def _check_scheme(spec: ProcessSpec, dt: float) -> None:
     if isinstance(spec, AdaptiveOU) and spec.theta_max * dt >= 1.0:
         raise StabilityError(
             f"explicit scheme unstable: theta_max*dt = {spec.theta_max * dt:.6g} >= 1")
+    if (isinstance(spec, GeometricBrownian)
+            and math.isinf(spec.mu - 0.5 * (spec.sigma * spec.sigma))):
+        raise DomainError(f"sigma {spec.sigma} puts the log drift mu - sigma**2/2 "
+                          "past the float range")
 
 
 def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,

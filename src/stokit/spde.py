@@ -76,6 +76,7 @@ class FieldSolution:
         self.u.setflags(write=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a field that overflows is refused
 def simulate_heat_spde(spec: SpdeSpec, dx: float, dt: float, horizon: float,
                        seed: int) -> FieldSolution:
     for name, value in (("dx", dx), ("kappa", spec.kappa), ("sigma", spec.sigma),
@@ -126,6 +127,10 @@ def simulate_heat_spde(spec: SpdeSpec, dx: float, dt: float, horizon: float,
         else:
             nxt[0] = prev[0] + 2.0 * ratio * (prev[1] - prev[0])
             nxt[-1] = prev[-1] + 2.0 * ratio * (prev[-2] - prev[-1])
+    if not np.isfinite(u).all():
+        step = int(np.argmin(np.isfinite(u).all(axis=1)))
+        raise StabilityError(f"the field leaves the float range at step {step} "
+                             f"(t={grid.times[step]:.6g})")
     return FieldSolution(x_grid=x, t_grid=grid.times, u=u,
                          spec=spec, seed=seed)
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-import stokit.diagnostics as diagnostics
 from stokit import (DEFAULT_FAN_LEVELS, Brownian, DomainError, Ensemble,
                     GeometricBrownian, PositivityError, SizeError, TimeGrid,
                     distance_to_asymptote, estimate_asymptote, growth_rates,
@@ -139,26 +138,6 @@ def test_fan_and_median_do_not_call_numpy_selection(monkeypatch):
     monkeypatch.setattr(np, "median", refuse)
     assert_numpy_bits(quantile_fan(make_ensemble(values)).curves, want_fan, values)
     assert_numpy_bits(summary_curves(make_ensemble(values)).median, want_median, values)
-
-
-def test_fan_and_summary_of_a_sort_once_ensemble_sort_once(monkeypatch):
-    """A fan and a summary of a `_SortOnce` ensemble share one read-only sort,
-    and give the bits that each gives on a plain ensemble."""
-    values = np.exp(sample_gaussian(substream(6, 0), 40 * 9).reshape(40, 9))
-    values[7, 3] = np.nan
-    plain = make_ensemble(values)
-    once = diagnostics._SortOnce(plain.grid, plain.values)
-    assert once.values is plain.values
-    sort, calls = diagnostics._sorted_by_time, []
-    monkeypatch.setattr(diagnostics, "_sorted_by_time",
-                        lambda values: calls.append(values) or sort(values))
-    fan, summary = quantile_fan(once), summary_curves(once)
-    assert len(calls) == 1 and not once.sorted_by_time.flags.writeable
-    alone_fan, alone_summary = quantile_fan(plain), summary_curves(plain)
-    assert len(calls) == 3
-    assert fan.curves.tobytes() == alone_fan.curves.tobytes()
-    for name in ("arithmetic_mean", "median", "geometric_mean"):
-        assert getattr(summary, name).tobytes() == getattr(alone_summary, name).tobytes()
 
 
 class TestSummaryCurves:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,22 @@ class TestSimulate:
             simulate(Brownian(), 1.0, 0.1, 0, 1)
         with pytest.raises(SizeError):
             simulate(Brownian(), 0.01, 0.1, 5, 1)
+
+    @pytest.mark.parametrize("horizon, dt", [(1e300, 1e-300), (1e300, 1.0),
+                                             (2.0 ** 63, 1.0)])
+    def test_step_count_past_an_array_index_refused(self, horizon, dt):
+        """Each case asks for at least 2**63 steps (or inf), which no array
+        can index; the grid refuses it before numpy allocates anything."""
+        with pytest.raises(SizeError, match="more than an array can index"):
+            TimeGrid.from_horizon(horizon, dt)
+        with pytest.raises(SizeError, match="more than an array can index"):
+            simulate(GeometricBrownian(0.05, 0.2), horizon, dt, 2, 1)
+
+    @pytest.mark.parametrize("mu, sigma", [(0.05, 1e200), (0.05, 1.4e154),
+                                           (-1.7e308, 1e154)])
+    def test_gbm_log_drift_past_the_float_range_refused(self, mu, sigma):
+        with pytest.raises(DomainError, match=re.escape(f"sigma {sigma} puts the log")):
+            simulate(GeometricBrownian(mu, sigma), 1.0, 0.1, 2, 1)
 
     def test_ensemble_values_read_only(self):
         ens = simulate(Brownian(), 1.0, 0.1, 2, 1)

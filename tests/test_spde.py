@@ -60,6 +60,16 @@ def test_non_finite_dirichlet_values_rejected(side, value):
         Dirichlet(**{side: value})
 
 
+@pytest.mark.parametrize("spec, step", [
+    (sine_spec(sigma=1e308), 2),
+    (dataclasses.replace(sine_spec(), initial_profile=[0.0, 1.0, math.inf, 1.0, 0.0]), 0),
+], ids=["noise_overflows", "profile_not_finite"])
+def test_non_finite_field_refused(spec, step):
+    with pytest.raises(StabilityError,
+                       match=rf"the field leaves the float range at step {step} "):
+        simulate_heat_spde(spec, 0.25, 0.1, 0.3, 12345)
+
+
 def test_bad_initial_profile_length():
     spec = SpdeSpec(kappa=0.1, sigma=0.0, length=1.0,
                     boundary=Dirichlet(0.0, 0.0), initial_profile=[0.0, 1.0])
