@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "rng": ("RngStream", "substream", "sample_gaussian", "sample_stable",
             "sample_poisson_events", "derive_seed"),
-    "processes": ("ProcessSpec", "Brownian", "GeometricBrownian", "LevyStable",
-                  "GeometricLevy", "OrnsteinUhlenbeck", "AdaptiveOU", "Poisson",
-                  "TimeGrid", "Ensemble", "simulate"),
+    "specs": ("ProcessSpec", "Brownian", "GeometricBrownian", "LevyStable",
+              "GeometricLevy", "OrnsteinUhlenbeck", "AdaptiveOU", "Poisson"),
+    "processes": ("TimeGrid", "Ensemble", "simulate"),
     "diagnostics": ("QuantileFan", "SummaryCurves", "GrowthRates",
                     "PreasymptoticReport", "DEFAULT_FAN_LEVELS", "quantile_fan",
                     "summary_curves", "growth_rates", "estimate_asymptote",

@@ -21,15 +21,14 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import DomainError, StokitError
-from .processes import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
-                        LevyStable, OrnsteinUhlenbeck, Poisson, simulate)
+from .specs import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
+                    LevyStable, OrnsteinUhlenbeck, Poisson)
 
-# Parsing needs only the spec types above; each handler imports the modules
-# it runs, so a command loads no module that it does not use.
+# Parsing needs only the spec types above, which load no numpy; each handler
+# imports the modules it runs, so a command loads no module that it does not
+# use.
 
 _FAMILY_TYPES = {
     "brownian": Brownian,
@@ -100,14 +99,6 @@ def _parse_boundary(text: str):
                       "use dirichlet, dirichlet:LEFT,RIGHT, or neumann")
 
 
-_INITIAL_PROFILES = {
-    "sine": lambda length: (lambda x: np.sin(np.pi * x / length)),
-    "zero": lambda length: (lambda x: np.zeros_like(x)),
-    "bump": lambda length: (
-        lambda x: np.exp(-((x - 0.5 * length) / (0.1 * length)) ** 2)),
-}
-
-
 def _dispatch_targets() -> list[str]:
     """The SIMD targets numpy was built for that this CPU enables; the last
     bits of the transcendental kernels, and so the figure bytes, depend on
@@ -136,6 +127,7 @@ def _write_outputs(prefix: str, outputs) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .csvio import ensemble_table, write_csv
+    from .processes import simulate
     spec = _spec_from_flags(args.family, args)
     ensemble = simulate(spec, args.t, args.dt, args.n, args.seed,
                         workers=args.workers)
@@ -145,10 +137,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     from .csvio import read_ensemble_csv
-    from .diagnostics import (DEFAULT_FAN_LEVELS, growth_rates,
+    from .diagnostics import (DEFAULT_FAN_LEVELS, _check_options, growth_rates,
                               preasymptotic_report, quantile_fan, summary_curves)
     from .figures import (fan_series, fan_table, preasym_series, preasym_table,
                           summary_series, summary_table)
+    from .processes import simulate
     from .svgplot import LineBundle, render_svg
     want_fan = args.fan or args.fan_levels is not None
     if not (want_fan or args.summary or args.growth or args.preasym):
@@ -156,6 +149,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                           "(--fan/--fan-levels, --summary, --growth, --preasym)")
     levels = (_parse_levels(args.fan_levels) if args.fan_levels is not None
               else DEFAULT_FAN_LEVELS)
+    preasym = (args.tail_fraction, args.preasym_window) if args.preasym else ()
+    _check_options(levels, *preasym)  # before any data is read or simulated
     if args.infile is not None:
         ensemble = read_ensemble_csv(args.infile)
     else:
@@ -197,12 +192,19 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_spde(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .figures import field_table, heatmap_bundle, profile_bundle, profile_table
     from .spde import SpdeSpec, simulate_heat_spde
     from .svgplot import render_svg
     boundary = _parse_boundary(args.boundary)
-    profile = _INITIAL_PROFILES[args.init](args.L)
-    spec = SpdeSpec(kappa=args.kappa, sigma=args.sigma, length=args.L,
+    length = args.L
+    profile = {  # the --init choices
+        "bump": lambda x: np.exp(-((x - 0.5 * length) / (0.1 * length)) ** 2),
+        "sine": lambda x: np.sin(np.pi * x / length),
+        "zero": np.zeros_like,
+    }[args.init]
+    spec = SpdeSpec(kappa=args.kappa, sigma=args.sigma, length=length,
                     boundary=boundary, initial_profile=profile)
     field = simulate_heat_spde(spec, args.dx, args.dt, args.t, args.seed)
     svgs = ((render_svg(heatmap_bundle(field)), render_svg(profile_bundle(field)))
@@ -232,6 +234,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .csvio import write_csv
     from .figures import build_all
     bundles = build_all(args.seed, workers=args.workers)
@@ -311,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spde.add_argument("--t", type=float, required=True)
     p_spde.add_argument("--boundary", default="dirichlet:0,0",
                         help="dirichlet[:LEFT,RIGHT] or neumann")
-    p_spde.add_argument("--init", choices=sorted(_INITIAL_PROFILES),
-                        default="sine")
+    p_spde.add_argument("--init", choices=("bump", "sine", "zero"), default="sine")
     p_spde.add_argument("--seed", type=int, default=12345)
     p_spde.add_argument("--out-prefix", required=True)
     p_spde.add_argument("--svg", action="store_true")

@@ -49,6 +49,26 @@ class PreasymptoticReport:
     window: int
 
 
+def _check_options(levels=None, tail_fraction=None, window=None):
+    """Refuse quantile levels, a tail fraction or a rolling window outside
+    its domain; an argument left None is not checked.  Returns ``levels``
+    as a tuple of floats (None if not given).  The diagnostics check their
+    own arguments with it, and the CLI its flags before reading any data."""
+    if levels is not None:
+        levels = tuple(float(p) for p in levels)
+        if not levels:
+            raise DomainError("levels must be nonempty")
+        if any(not 0.0 < p < 1.0 for p in levels):
+            raise DomainError(f"levels must lie in (0, 1), got {levels}")
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise DomainError(f"levels must be strictly increasing, got {levels}")
+    if tail_fraction is not None and not 0.0 < tail_fraction <= 1.0:
+        raise DomainError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
+    if window is not None and window < 2:
+        raise DomainError(f"window must be >= 2, got {window}")
+    return levels
+
+
 def _sorted_by_time(values: np.ndarray) -> np.ndarray:
     """(times x instances) copy of ``values``, each row sorted (NaNs last)."""
     rows = values.T.copy()
@@ -61,13 +81,7 @@ def quantile_fan(ensemble: Ensemble, levels=DEFAULT_FAN_LEVELS) -> QuantileFan:
     statistics at position (n-1)p (Hyndman & Fan's definition 7), with the
     arithmetic of ``np.quantile(..., method="linear")`` on one sort of each
     time point's values.  A time point holding a NaN gives NaN."""
-    levels = tuple(float(p) for p in levels)
-    if not levels:
-        raise DomainError("levels must be nonempty")
-    if any(not 0.0 < p < 1.0 for p in levels):
-        raise DomainError(f"levels must lie in (0, 1), got {levels}")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise DomainError(f"levels must be strictly increasing, got {levels}")
+    levels = _check_options(levels=levels)
     if ensemble.num_instances < 2:
         raise SizeError("quantile fan needs at least 2 instances")
     rows = _sorted_by_time(ensemble.values)
@@ -125,8 +139,7 @@ def estimate_asymptote(series, grid: TimeGrid, tail_fraction: float = 0.5
     """Least-squares line over the final tail_fraction of the series;
     returns (slope, intercept)."""
     series = np.asarray(series, dtype=np.float64)
-    if not 0.0 < tail_fraction <= 1.0:
-        raise DomainError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
+    _check_options(tail_fraction=tail_fraction)
     times = grid.times
     if series.shape != times.shape:
         raise SizeError(
@@ -157,8 +170,7 @@ def rolling_fluctuation(series, window: int) -> np.ndarray:
     ``window`` consecutive increments.
     """
     series = np.asarray(series, dtype=np.float64)
-    if window < 2:
-        raise DomainError(f"window must be >= 2, got {window}")
+    _check_options(window=window)
     if series.size < window + 1:
         raise SizeError(
             f"series of length {series.size} too short for window {window}")

@@ -1,10 +1,11 @@
-"""Process specifications and the ensemble simulator.
+"""The ensemble simulator.
 
-Each family is a small frozen dataclass validated at construction; `simulate`
-turns a spec into an `Ensemble` on a uniform grid.  Instance i of an ensemble
-is driven exclusively by ``substream(seed, i)``, so results are independent of
-worker count and evaluation order.  Each family has one kernel that builds a
-block of instances at once from the block stream of their ids.
+`simulate` turns a process spec (a frozen dataclass from `stokit.specs`,
+re-exported here) into an `Ensemble` on a uniform grid.  Instance i of an
+ensemble is driven exclusively by ``substream(seed, i)``, so results are
+independent of worker count and evaluation order.  Each family has one
+kernel that builds a block of instances at once from the block stream of
+their ids.
 
 Discretization choices:
 
@@ -28,8 +29,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError, GridError, SizeError, StabilityError
-from .rng import (_BUDGET, RngStream, _check_stable_shape, _poisson_slot_block,
-                  sample_gaussian, sample_stable, substream)
+from .rng import (_BUDGET, RngStream, _poisson_slot_block, sample_gaussian,
+                  sample_stable, substream)
+from .specs import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
+                    LevyStable, OrnsteinUhlenbeck, Poisson, ProcessSpec)
 
 
 @dataclass(frozen=True)
@@ -70,131 +73,6 @@ class TimeGrid:
         if abs(n_steps * dt - horizon) > 1e-9:
             raise GridError(f"horizon {horizon} is not a whole number of steps dt={dt}")
         return cls(dt=dt, n_steps=n_steps)
-
-
-class ProcessSpec:
-    """Base class for process families; subclasses are frozen dataclasses."""
-
-    multiplicative = False
-
-
-@dataclass(frozen=True)
-class Brownian(ProcessSpec):
-    drift: float = 0.0
-    scale: float = 1.0
-    x0: float = 0.0
-
-    def __post_init__(self):
-        if self.scale < 0.0:
-            raise DomainError(f"scale must be >= 0, got {self.scale}")
-
-
-@dataclass(frozen=True)
-class GeometricBrownian(ProcessSpec):
-    mu: float
-    sigma: float
-    x0: float = 1.0
-
-    multiplicative = True
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
-        if self.x0 <= 0.0:
-            raise DomainError(f"multiplicative x0 must be > 0, got {self.x0}")
-
-
-@dataclass(frozen=True)
-class LevyStable(ProcessSpec):
-    alpha: float
-    beta: float
-    scale: float
-    loc: float = 0.0
-    x0: float = 0.0
-
-    def __post_init__(self):
-        _check_stable_params(self.alpha, self.beta, self.scale)
-
-
-@dataclass(frozen=True)
-class GeometricLevy(ProcessSpec):
-    alpha: float
-    beta: float
-    scale: float
-    loc: float = 0.0
-    x0: float = 1.0
-
-    multiplicative = True
-
-    def __post_init__(self):
-        _check_stable_params(self.alpha, self.beta, self.scale)
-        if self.x0 <= 0.0:
-            raise DomainError(f"multiplicative x0 must be > 0, got {self.x0}")
-
-
-@dataclass(frozen=True)
-class OrnsteinUhlenbeck(ProcessSpec):
-    theta: float
-    mean: float
-    scale: float
-    x0: float
-
-    def __post_init__(self):
-        if self.theta <= 0.0:
-            raise DomainError(f"theta must be > 0, got {self.theta}")
-        if self.scale < 0.0:
-            raise DomainError(f"scale must be >= 0, got {self.scale}")
-
-
-@dataclass(frozen=True)
-class AdaptiveOU(ProcessSpec):
-    """Mean reversion whose rate drifts with the path: after each state update
-    theta moves by eta * (|x - mean| - band) * dt, clipped to
-    [theta_min, theta_max]."""
-
-    theta0: float
-    mean: float
-    scale: float
-    x0: float
-    eta: float = 0.0
-    band: float = 0.0
-    theta_min: float = 0.01
-    theta_max: float = 50.0
-
-    def __post_init__(self):
-        if self.theta0 <= 0.0:
-            raise DomainError(f"theta0 must be > 0, got {self.theta0}")
-        if self.scale < 0.0:
-            raise DomainError(f"scale must be >= 0, got {self.scale}")
-        if self.eta < 0.0:
-            raise DomainError(f"eta must be >= 0, got {self.eta}")
-        if self.band < 0.0:
-            raise DomainError(f"band must be >= 0, got {self.band}")
-        if self.theta_min <= 0.0:
-            raise DomainError(f"theta_min must be > 0, got {self.theta_min}")
-        if self.theta_max < self.theta_min:
-            raise DomainError(
-                f"theta_max {self.theta_max} is below theta_min {self.theta_min}")
-        if not self.theta_min <= self.theta0 <= self.theta_max:
-            raise DomainError(
-                f"theta0 {self.theta0} outside [{self.theta_min}, {self.theta_max}]")
-
-
-@dataclass(frozen=True)
-class Poisson(ProcessSpec):
-    rate: float
-    jump: float = 1.0
-    x0: float = 0.0
-
-    def __post_init__(self):
-        if self.rate < 0.0:
-            raise DomainError(f"rate must be >= 0, got {self.rate}")
-
-
-def _check_stable_params(alpha: float, beta: float, scale: float) -> None:
-    _check_stable_shape(alpha, beta)
-    if scale <= 0.0:
-        raise DomainError(f"scale must be > 0, got {scale}")
 
 
 @dataclass(frozen=True)

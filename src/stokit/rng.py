@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SizeError
+from .specs import _check_stable_shape
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -126,23 +127,6 @@ def sample_gaussian(stream: RngStream, n: int) -> np.ndarray:
     """n independent standard-normal variates (Box-Muller, cosine branch)."""
     u = stream.uniforms(2 * _checked_count(n))
     return np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
-
-
-# Within this distance of alpha = 1, a skewed law in the one-parameterization
-# (S1) is near its pole: beta * tan(pi * alpha / 2) diverges, and with
-# beta = 0.5 the median draw moves from 0.21 at alpha = 1 to about -3e8 at
-# 1 + 1e-9 (Nolan, "Univariate Stable Distributions", 2020).
-_S1_POLE = 1e-6
-
-
-def _check_stable_shape(alpha: float, beta: float) -> None:
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha must lie in (0, 2], got {alpha}")
-    if not -1.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [-1, 1], got {beta}")
-    if beta != 0.0 and 0.0 < abs(alpha - 1.0) < _S1_POLE:
-        raise DomainError(f"alpha {alpha} lies within {_S1_POLE} of the S1 pole at 1 "
-                          f"with beta {beta} != 0; use alpha = 1 exactly")
 
 
 def sample_stable(stream: RngStream, alpha: float, beta: float, n: int) -> np.ndarray:

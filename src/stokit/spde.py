@@ -86,6 +86,9 @@ def simulate_heat_spde(spec: SpdeSpec, dx: float, dt: float, horizon: float,
     if dx <= 0.0:
         raise DomainError(f"dx must be > 0, got {dx}")
     grid = TimeGrid.from_horizon(horizon, dt)
+    if not spec.length / dx < np.iinfo(np.intp).max:  # no array has that many nodes
+        raise SizeError(f"length {spec.length} over dx={dx} is {spec.length / dx:.6g} "
+                        "nodes, more than an array can index")
     n_x = int(round(spec.length / dx))
     if n_x < 2 or abs(n_x * dx - spec.length) > 1e-9:
         raise GridError(

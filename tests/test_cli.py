@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stokit import (GeometricBrownian, OrnsteinUhlenbeck, cli, csvio, errors,
-                    growth_rates, quantile_fan, simulate, summary_curves)
+                    growth_rates, processes, quantile_fan, simulate, summary_curves)
 from stokit.cli import _dispatch_targets, main
 from stokit.csvio import read_ensemble_csv
 
@@ -202,6 +202,27 @@ class TestDiagnoseCommand:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--fan-levels", "0.9,0.1"], "levels must be strictly increasing"),
+        (["--fan-levels", "0.5,1"], "levels must lie in (0, 1)"),
+        (["--preasym", "--tail-fraction", 0], "tail_fraction must lie in (0, 1]"),
+        (["--preasym", "--preasym-window", 1], "window must be >= 2, got 1"),
+    ], ids=["levels_unsorted", "level_one", "tail_fraction_zero", "window_one"])
+    @pytest.mark.parametrize("source", [
+        ["--in", "{tmp}/missing.csv"],
+        ["--family", "gbm", "--mu", 0.05, "--sigma", 0.2, "--t", 1, "--dt", 0.1,
+         "--n", 3],
+    ], ids=["missing_file", "inline"])
+    def test_option_out_of_domain_exits_2_before_any_data(
+            self, tmp_path, capsys, monkeypatch, argv, message, source):
+        """The diagnostics' own option check runs before the input is read or
+        simulated: a missing file would exit 1."""
+        monkeypatch.setattr(processes, "simulate", None)  # a call would raise
+        argv = [str(a).format(tmp=tmp_path) for a in [*source, *argv]]
+        assert run(["diagnose", *argv, "--out-prefix", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("svg", [[], ["--svg"]], ids=["csv", "svg"])
     def test_failing_run_writes_no_file(self, tmp_path, capsys, svg):
         """The fan of a signed ensemble is computed, but its summary needs
@@ -376,6 +397,20 @@ class TestSpdeCommand:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("length, dx", [(1e300, 1e-300), (1e20, 1)],
+                             ids=["inf_nodes", "1e20_nodes"])
+    def test_node_count_past_an_array_index_exits_2(self, tmp_path, capsys,
+                                                    length, dx):
+        """Sizes the grid refuses before numpy allocates anything."""
+        code = run(["spde", "--kappa", 0.1, "--L", length, "--dx", dx, "--dt", 0.1,
+                    "--t", 0.3, "--out-prefix", tmp_path / "s"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: length {float(length)} over dx={float(dx)} is ")
+        assert err.endswith(" nodes, more than an array can index\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("svg", [[], ["--svg"]], ids=["csv", "svg"])
     def test_non_finite_field_exits_2_writing_nothing(self, tmp_path, capsys, svg):
         code = run(["spde", "--kappa", 0.1, "--sigma", 1e308, "--L", 1, "--dx", 0.25,
@@ -497,7 +532,7 @@ def test_csv_io_memory_is_one_piece_not_the_file(tmp_path, monkeypatch):
                          - ensemble.values.nbytes)
         return ensemble
 
-    monkeypatch.setattr(cli, "simulate", simulate_then_mark)
+    monkeypatch.setattr(processes, "simulate", simulate_then_mark)
     monkeypatch.setattr(csvio, "read_ensemble_csv", traced_read)
     out = tmp_path / "e.csv"
     tracemalloc.start()
@@ -562,7 +597,31 @@ def test_start_up_loads_only_what_the_command_runs(tmp_path):
     argv = ["simulate", "gbm", "--mu", "0.05", "--sigma", "0.2", "--t", "1",
             "--dt", "0.1", "--n", "3", "--out", str(tmp_path / "x.csv")]
     assert _loaded_after(f"import stokit.cli; assert stokit.cli.main({argv!r}) == 0") == {
-        "stokit.cli", "stokit.csvio", "stokit.errors", "stokit.processes", "stokit.rng"}
+        "stokit.cli", "stokit.csvio", "stokit.errors", "stokit.processes", "stokit.rng",
+        "stokit.specs"}
+
+
+@pytest.mark.parametrize("code, exit_code", [
+    ("import stokit.cli; stokit.cli.build_parser()", 0),
+    ("import stokit.cli; stokit.cli.main(['--version'])", 0),
+    ("import stokit.cli; stokit.cli.main(['--help'])", 0),
+    ("import stokit.cli; stokit.cli.main(['simulate', 'gbm', '--help'])", 0),
+    ("import stokit.cli; stokit.cli.main(['simulate', 'gbm', '--mu', '0'])", 2),
+    ("import stokit; stokit.Brownian", 0),
+], ids=["build_parser", "version", "help", "subcommand_help", "missing_flag",
+        "spec_class"])
+def test_parsing_loads_no_numpy(code, exit_code):
+    """Parsing, the help and version texts, usage errors and the spec classes
+    load no numpy: only a command's handler imports it."""
+    src = Path(cli.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = (f"import sys\ntry:\n    {code}\nfinally:\n"
+             "    print('numpy' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == exit_code
+    assert done.stderr.splitlines()[-1] == "False"
 
 
 def readme_exit_codes():

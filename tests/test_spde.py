@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_non_finite_field_refused(spec, step):
     with pytest.raises(StabilityError,
                        match=rf"the field leaves the float range at step {step} "):
         simulate_heat_spde(spec, 0.25, 0.1, 0.3, 12345)
+
+
+@pytest.mark.parametrize("length, dx", [(1e300, 1e-300), (1e20, 1.0)],
+                         ids=["inf_nodes", "1e20_nodes"])
+def test_node_count_past_an_array_index_refused(length, dx):
+    """Sizes the grid refuses before numpy allocates anything: the initial
+    profile is never evaluated."""
+    def never_called(x):
+        raise AssertionError("the profile was evaluated on a grid")
+
+    spec = dataclasses.replace(sine_spec(), length=length,
+                               initial_profile=never_called)
+    prefix = re.escape(f"length {length} over dx={dx} is ")
+    with pytest.raises(SizeError,
+                       match=f"^{prefix}.* nodes, more than an array can index$"):
+        simulate_heat_spde(spec, dx, 0.1, 0.3, 0)
 
 
 def test_bad_initial_profile_length():
