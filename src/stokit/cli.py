@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import __version__
 from .errors import DomainError, StokitError
 from .specs import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
-                    LevyStable, OrnsteinUhlenbeck, Poisson)
+                    LevyStable, OrnsteinUhlenbeck, Poisson, spec_fields)
 
-# Parsing needs only the spec types above, which load no numpy; each handler
-# imports the modules it runs, so a command loads no module that it does not
-# use.
+# Parsing needs only the spec types above and their fields, which load
+# neither numpy nor dataclasses; each handler imports the modules it runs, so
+# a command loads no module that it does not use.
 
 _FAMILY_TYPES = {
     "brownian": Brownian,
@@ -46,21 +45,21 @@ def _spec_from_flags(family: str, args: argparse.Namespace):
         raise DomainError("no input: pass --in FILE or a process family")
     spec_type = _FAMILY_TYPES[family]
     kwargs = {}
-    for spec_field in fields(spec_type):  # unset flags keep the spec defaults
-        if getattr(args, spec_field.name) is not None:
-            kwargs[spec_field.name] = getattr(args, spec_field.name)
-        elif spec_field.default is MISSING:
-            raise DomainError(f"--{spec_field.name.replace('_', '-')} is "
+    for name, default in spec_fields(spec_type).items():  # unset flags keep defaults
+        if getattr(args, name) is not None:
+            kwargs[name] = getattr(args, name)
+        elif default is None:
+            raise DomainError(f"--{name.replace('_', '-')} is "
                               f"required for family '{family}'")
     return spec_type(**kwargs)
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser, families) -> None:
     """One float flag per spec field, with help only for a single family."""
-    flags = {f.name: f.default for family in families
-             for f in fields(_FAMILY_TYPES[family])}
+    flags = {name: default for family in families
+             for name, default in spec_fields(_FAMILY_TYPES[family]).items()}
     for name, default in flags.items():
-        helptext = "required" if default is MISSING else f"default {default}"
+        helptext = "required" if default is None else f"default {default}"
         parser.add_argument(f"--{name.replace('_', '-')}", type=float, default=None,
                             help=helptext if len(families) == 1 else argparse.SUPPRESS)
 

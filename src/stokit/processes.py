@@ -43,8 +43,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise DomainError(f"dt must be > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
         if self.n_steps < 1:
             raise SizeError(f"n_steps must be >= 1, got {self.n_steps}")
 

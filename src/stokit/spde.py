@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, GridError, SizeError, StabilityError
 from .processes import TimeGrid
-from .rng import _BUDGET, sample_gaussian, substream
+from .rng import _BUDGET, _check_u64, sample_gaussian, substream
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,7 @@ def simulate_heat_spde(spec: SpdeSpec, dx: float, dt: float, horizon: float,
             raise DomainError(f"{name} must be finite, got {value}")
     if dx <= 0.0:
         raise DomainError(f"dx must be > 0, got {dx}")
+    _check_u64(seed, "seed")  # also when sigma = 0 draws nothing
     grid = TimeGrid.from_horizon(horizon, dt)
     if not spec.length / dx < np.iinfo(np.intp).max:  # no array has that many nodes
         raise SizeError(f"length {spec.length} over dx={dx} is {spec.length / dx:.6g} "

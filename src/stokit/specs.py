@@ -1,15 +1,23 @@
 """Process specifications: one small frozen dataclass per family, validated
-at construction.
-
-This module imports no numpy, so the CLI builds its parser from the spec
-fields without loading it; `stokit.processes` simulates the specs.
-"""
+at construction.  Each annotated class body declares its family's fields; the
+classes become dataclasses when the first spec is constructed, so this module
+imports neither numpy nor `dataclasses`, and the CLI builds its parser from
+`spec_fields` alone."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import _thread
 
 from .errors import DomainError
+
+_pending: list[type] = []  # spec classes that are not yet dataclasses, bases first
+_freezing = _thread.allocate_lock()
+
+
+def spec_fields(cls: type) -> dict[str, float | None]:
+    """{field name: default, or None if required}, in `dataclasses.fields` order."""
+    return {name: getattr(cls, name, None) for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__annotations__", ())}
 
 
 class ProcessSpec:
@@ -17,8 +25,23 @@ class ProcessSpec:
 
     multiplicative = False
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if any(base in _pending for base in cls.__mro__):
+            ProcessSpec()  # freezes the bases, which a user's own @dataclass reads
+        _pending.append(cls)
 
-@dataclass(frozen=True)
+    def __new__(cls, *args, **kwargs):
+        if _pending:  # the first spec makes every pending class a frozen dataclass
+            from dataclasses import dataclass
+            with _freezing:
+                while _pending:  # a class leaves only once it is a dataclass
+                    if "__dataclass_fields__" not in vars(_pending[0]):  # unless decorated
+                        dataclass(frozen=True)(_pending[0])
+                    del _pending[0]
+        return super().__new__(cls)
+
+
 class Brownian(ProcessSpec):
     drift: float = 0.0
     scale: float = 1.0
@@ -29,7 +52,6 @@ class Brownian(ProcessSpec):
             raise DomainError(f"scale must be >= 0, got {self.scale}")
 
 
-@dataclass(frozen=True)
 class GeometricBrownian(ProcessSpec):
     mu: float
     sigma: float
@@ -44,7 +66,6 @@ class GeometricBrownian(ProcessSpec):
             raise DomainError(f"multiplicative x0 must be > 0, got {self.x0}")
 
 
-@dataclass(frozen=True)
 class LevyStable(ProcessSpec):
     alpha: float
     beta: float
@@ -56,7 +77,6 @@ class LevyStable(ProcessSpec):
         _check_stable_params(self.alpha, self.beta, self.scale)
 
 
-@dataclass(frozen=True)
 class GeometricLevy(ProcessSpec):
     alpha: float
     beta: float
@@ -72,7 +92,6 @@ class GeometricLevy(ProcessSpec):
             raise DomainError(f"multiplicative x0 must be > 0, got {self.x0}")
 
 
-@dataclass(frozen=True)
 class OrnsteinUhlenbeck(ProcessSpec):
     theta: float
     mean: float
@@ -86,7 +105,6 @@ class OrnsteinUhlenbeck(ProcessSpec):
             raise DomainError(f"scale must be >= 0, got {self.scale}")
 
 
-@dataclass(frozen=True)
 class AdaptiveOU(ProcessSpec):
     """Mean reversion whose rate drifts with the path: after each state update
     theta moves by eta * (|x - mean| - band) * dt, clipped to
@@ -120,7 +138,6 @@ class AdaptiveOU(ProcessSpec):
                 f"theta0 {self.theta0} outside [{self.theta_min}, {self.theta_max}]")
 
 
-@dataclass(frozen=True)
 class Poisson(ProcessSpec):
     rate: float
     jump: float = 1.0

@@ -411,6 +411,17 @@ class TestSpdeCommand:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sigma", [0, 0.1], ids=["noiseless", "noisy"])
+    def test_negative_seed_exits_2_writing_nothing(self, tmp_path, capsys, sigma):
+        """The seed is checked even when a noiseless run draws nothing."""
+        code = run(["spde", "--kappa", 0.1, "--sigma", sigma, "--L", 1, "--dx", 0.1,
+                    "--dt", 0.001, "--t", 0.01, "--seed", -5,
+                    "--out-prefix", tmp_path / "s"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed must be a 64-bit unsigned integer, got -5\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("svg", [[], ["--svg"]], ids=["csv", "svg"])
     def test_non_finite_field_exits_2_writing_nothing(self, tmp_path, capsys, svg):
         code = run(["spde", "--kappa", 0.1, "--sigma", 1e308, "--L", 1, "--dx", 0.25,
@@ -612,16 +623,18 @@ def test_start_up_loads_only_what_the_command_runs(tmp_path):
         "spec_class"])
 def test_parsing_loads_no_numpy(code, exit_code):
     """Parsing, the help and version texts, usage errors and the spec classes
-    load no numpy: only a command's handler imports it."""
+    load neither numpy nor dataclasses: only a command's handler imports
+    numpy, and the spec classes become dataclasses at the first construction."""
     src = Path(cli.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")])}
     probe = (f"import sys\ntry:\n    {code}\nfinally:\n"
-             "    print('numpy' in sys.modules, file=sys.stderr)")
+             "    print(sorted({'numpy', 'dataclasses'} & set(sys.modules)), "
+             "file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert done.returncode == exit_code
-    assert done.stderr.splitlines()[-1] == "False"
+    assert done.stderr.splitlines()[-1] == "[]"
 
 
 def readme_exit_codes():

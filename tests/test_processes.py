@@ -56,6 +56,12 @@ class TestSpecs:
             with pytest.raises(DomainError, match="must be finite"):
                 TimeGrid.from_horizon(horizon, dt)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_grid_refuses_non_finite_dt(self, dt):
+        """An infinite step would give growth rates of 0.0, a nan one nan times."""
+        with pytest.raises(DomainError, match=f"^dt must be finite and > 0, got {dt}$"):
+            TimeGrid(dt=dt, n_steps=2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("spec", [
         Brownian(), GeometricBrownian(0.05, 0.2), LevyStable(1.5, 0.0, 0.3),
