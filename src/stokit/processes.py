@@ -4,8 +4,10 @@
 re-exported here) into an `Ensemble` on a uniform grid.  Instance i of an
 ensemble is driven exclusively by ``substream(seed, i)``, so results are
 independent of worker count and evaluation order.  Each family has one
-kernel that builds a block of instances at once from the block stream of
-their ids.
+kernel that fills a tile of instance rows in place in the ensemble, from the
+block stream of their ids.  A tile holds about ``_BUDGET`` draws, which stay
+in a core's L2 cache.  OU/AOU tiles are at least ``_WIDE`` rows wide and draw
+their noise a chunk of steps at a time: step k's Gaussian sits at counter 2k.
 
 Discretization choices:
 
@@ -33,6 +35,9 @@ from .rng import (_BUDGET, RngStream, _poisson_slot_block, sample_gaussian,
                   sample_stable, substream)
 from .specs import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
                     LevyStable, OrnsteinUhlenbeck, Poisson, ProcessSpec)
+
+# Fewest rows in an OU/AOU tile: its time loop makes ~15 numpy calls a step.
+_WIDE = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,11 @@ class Ensemble:
         return self.values.shape[0]
 
 
-# --- one kernel per family group, on a block stream (one row per instance) ---
+# --- one kernel per family group: it fills `out` (and `theta_out`, for AOU)
+# with the rows of a block of instances, drawn from the block stream of their ids
 
 def _walk(spec: Brownian | GeometricBrownian | LevyStable | GeometricLevy,
-          grid: TimeGrid, stream: RngStream):
+          grid: TimeGrid, stream: RngStream, out: np.ndarray, theta_out) -> None:
     n = grid.n_steps
     if isinstance(spec, Brownian):
         z = sample_gaussian(stream, n)
@@ -116,62 +122,78 @@ def _walk(spec: Brownian | GeometricBrownian | LevyStable | GeometricLevy,
     else:
         z = sample_stable(stream, spec.alpha, spec.beta, n)
         drift, width = spec.loc, spec.scale * grid.dt ** (1.0 / spec.alpha)
-    walk = np.zeros((z.shape[0], n + 1))
-    np.cumsum(z, axis=1, out=walk[:, 1:])
-    line, noise = drift * grid.times, width * walk
+    out[:, 0] = 0.0
+    np.cumsum(z, axis=1, out=out[:, 1:])
+    out *= width  # the noise
+    line = drift * grid.times
     if not spec.multiplicative:
-        return spec.x0 + line + noise, None
-    exponent = line + noise
+        out += spec.x0 + line
+        return
+    out += line  # the exponent
     # Heavy-tailed jumps can push the exponent past what exp() represents;
     # clip keeps every value finite and strictly positive.
-    np.clip(exponent, -700.0, 700.0, out=exponent)
-    return spec.x0 * np.exp(exponent), None
+    np.clip(out, -700.0, 700.0, out=out)
+    np.exp(out, out=out)
+    out *= spec.x0
 
 
 def _mean_reverting(spec: OrnsteinUhlenbeck | AdaptiveOU, grid: TimeGrid,
-                    stream: RngStream):
+                    stream: RngStream, out: np.ndarray, theta_out) -> None:
     """One time loop for fixed and adaptive mean reversion, vectorized over
     rows: with eta = 0 theta stays at theta0, so a fixed-rate run is
-    bit-identical to an adaptive run with zero gain."""
+    bit-identical to an adaptive run with zero gain.  The noise is drawn
+    ``_BUDGET // rows`` steps at a time; x and theta carry from one chunk of
+    steps to the next."""
     if isinstance(spec, OrnsteinUhlenbeck):
         theta0, eta, band, lo, hi = spec.theta, 0.0, 0.0, spec.theta, spec.theta
     else:
         theta0, eta, band = spec.theta0, spec.eta, spec.band
         lo, hi = spec.theta_min, spec.theta_max
     n, dt, mean = grid.n_steps, grid.dt, spec.mean
-    z = np.ascontiguousarray(sample_gaussian(stream, n).T)  # steps x rows
-    noise = spec.scale * math.sqrt(dt) * z
-    xs = np.empty((n + 1, noise.shape[1]))
+    width = spec.scale * math.sqrt(dt)
+    chunk = max(1, _BUDGET // out.shape[0])
+    xs = np.empty((min(chunk, n) + 1, out.shape[0]))  # steps x rows
     thetas = np.empty_like(xs)
-    xs[0] = spec.x0
+    xs[0] = out[:, 0] = spec.x0
     thetas[0] = theta0
-    for k in range(n):
-        x, theta = xs[k], thetas[k]
-        xs[k + 1] = x = x + theta * (mean - x) * dt + noise[k]
-        proposal = theta + eta * (np.abs(x - mean) - band) * dt
-        thetas[k + 1] = np.minimum(np.maximum(proposal, lo), hi)
-    return xs.T, (thetas.T if isinstance(spec, AdaptiveOU) else None)
+    if theta_out is not None:
+        theta_out[:, 0] = theta0
+    for k0 in range(0, n, chunk):
+        steps = min(chunk, n - k0)
+        noise = width * np.ascontiguousarray(sample_gaussian(stream, steps).T)
+        for k in range(steps):
+            x, theta = xs[k], thetas[k]
+            xs[k + 1] = x = x + theta * (mean - x) * dt + noise[k]
+            proposal = theta + eta * (np.abs(x - mean) - band) * dt
+            thetas[k + 1] = np.minimum(np.maximum(proposal, lo), hi)
+        out[:, k0 + 1:k0 + steps + 1] = xs[1:steps + 1].T
+        if theta_out is not None:
+            theta_out[:, k0 + 1:k0 + steps + 1] = thetas[1:steps + 1].T
+        xs[0], thetas[0] = xs[steps], thetas[steps]
 
 
-def _poisson(spec: Poisson, grid: TimeGrid, stream: RngStream):
+def _poisson(spec: Poisson, grid: TimeGrid, stream: RngStream, out: np.ndarray,
+             theta_out) -> None:
     """Each live row draws the slot blocks `sample_poisson_events` draws on
     its own stream; every arrival within the horizon is counted from the
     first grid time at or after it."""
     times, horizon = grid.times, grid.horizon
-    hits = np.zeros((stream.stream_id.size, times.size), dtype=np.int64)
+    out[...] = 0.0  # hit counts, exact in float64
     if spec.rate > 0.0:
         block = _poisson_slot_block(spec.rate, horizon)
-        live = np.arange(hits.shape[0])
+        live = np.arange(out.shape[0])
         elapsed = np.zeros(live.size)
         while live.size:
             gaps = -np.log(stream.uniforms(block)) / spec.rate
             arrival = elapsed[:, None] + np.cumsum(gaps, axis=1)
             row, col = np.nonzero(arrival <= horizon)
-            np.add.at(hits, (live[row], np.searchsorted(times, arrival[row, col])), 1)
+            np.add.at(out, (live[row], np.searchsorted(times, arrival[row, col])), 1.0)
             more = arrival[:, -1] <= horizon  # no overshoot yet: draw again
             live, elapsed = live[more], arrival[more, -1]
             stream = RngStream(stream.seed, stream.stream_id[more], stream.counter)
-    return spec.x0 + spec.jump * np.cumsum(hits, axis=1), None
+    np.cumsum(out, axis=1, out=out)
+    out *= spec.jump
+    out += spec.x0
 
 
 _KERNELS = (((Brownian, GeometricBrownian, LevyStable, GeometricLevy), _walk),
@@ -197,11 +219,14 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
     """Simulate an ensemble of independent trajectories.
 
     Every field of ``spec`` must be finite.  Instance i draws only from
-    ``substream(seed, i)``.  Instances run in row blocks of about
-    ``_BUDGET`` draws, each drawn from the block stream of its instance ids;
-    ``workers`` threads map the blocks (the calling thread runs them when
-    ``workers`` is 1), and with any count the result is byte-identical to
-    the single-threaded run.
+    ``substream(seed, i)``.  Instances run in row tiles of
+    ``max(1, _BUDGET // n_steps)`` rows (``max(_WIDE, _BUDGET // n_steps)``
+    for OU/AOU, which draw ``_BUDGET // rows`` steps of noise at a time;
+    Poisson divides by its slots per round of draws where those are more),
+    each written in place into the ensemble from the block stream of its
+    instance ids; ``workers`` threads map the tiles (the calling thread runs
+    them when ``workers`` is 1), and with any count the result is
+    byte-identical to the single-threaded run.
     """
     if num_instances < 1:
         raise SizeError(f"num_instances must be >= 1, got {num_instances}")
@@ -215,17 +240,20 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
             raise DomainError(f"{name} must be finite, got {value}")
     grid = TimeGrid.from_horizon(horizon, dt)
     _check_scheme(spec, grid.dt)
+    row_draws = grid.n_steps  # the most a row of a tile holds at once
+    if kernel is _poisson:  # a round's slots, refused before anything is allocated
+        row_draws = max(row_draws, _poisson_slot_block(spec.rate, grid.horizon))
+    rows = max(1, _BUDGET // row_draws)
+    if kernel is _mean_reverting:  # its per-step numpy calls want wide tiles
+        rows = max(_WIDE, rows)
     values = np.empty((num_instances, grid.n_steps + 1))
     thetas = np.empty_like(values) if isinstance(spec, AdaptiveOU) else None
-    rows = max(1, _BUDGET // grid.n_steps)
     starts = range(0, num_instances, rows)
 
     def run_block(start: int) -> None:
         block = slice(start, min(start + rows, num_instances))
-        ids = np.arange(block.start, block.stop)
-        values[block], theta_paths = kernel(spec, grid, substream(seed, ids))
-        if thetas is not None:
-            thetas[block] = theta_paths
+        kernel(spec, grid, substream(seed, np.arange(block.start, block.stop)),
+               values[block], None if thetas is None else thetas[block])
 
     if workers == 1 or len(starts) == 1:
         for start in starts:

@@ -9,7 +9,9 @@ plus counter * golden-gamma.
 A stream id may also be an array of ids: the stream is then a block of
 streams that share one counter, and every draw gains a leading row axis whose
 row r is bit-identical to the same draw on the scalar stream ``ids[r]``.
-Simulators draw a whole block of instances (or SPDE steps) at once this way.
+Simulators draw a whole block of instances (or SPDE steps) at once this way,
+about ``_BUDGET`` draws at a time, so that a block stays in a core's L2 cache;
+any counter range can be drawn on its own, so a path may draw in chunks.
 
 Conventions, fixed for reproducibility:
 
@@ -38,8 +40,11 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _U64 = np.uint64
-# Draws per block of streams; simulators size their row blocks to it.
-_BUDGET = 1 << 16
+# Draws per block of streams; simulators size their row tiles to it, so that
+# a block's words, floats and numpy temporaries (128 KiB each) stay in L2.
+_BUDGET = 1 << 14
+# Most slots per row in one round of Poisson draws (128 MiB of float64).
+_SLOT_BLOCK_MAX = 1 << 24
 _GOLDEN_U = _U64(_GOLDEN)
 _MIX_A_U = _U64(_MIX_A)
 _MIX_B_U = _U64(_MIX_B)
@@ -188,8 +193,13 @@ def sample_poisson_events(stream: RngStream, rate: float, horizon: float) -> np.
 
 
 def _poisson_slot_block(rate: float, horizon: float) -> int:
-    """Slots per round of Poisson draws: 1.5 times the expected count."""
-    return max(16, int(rate * horizon * 1.5) + 1)
+    """Slots per round of Poisson draws: 1.5 times the expected count, refused
+    past ``_SLOT_BLOCK_MAX`` before anything is drawn."""
+    slots = rate * horizon * 1.5
+    if not slots < _SLOT_BLOCK_MAX:
+        raise SizeError(f"rate {rate} over horizon {horizon} needs {slots:.6g} Poisson "
+                        f"slots per round of draws, more than {_SLOT_BLOCK_MAX}")
+    return max(16, int(slots) + 1)
 
 
 def _checked_count(n: int) -> int:

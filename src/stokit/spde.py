@@ -8,7 +8,7 @@ Noise layout is deterministic: step k draws its interior-node variates from
 ``substream(seed, k)`` in node order, so spatial updates can be parallelized
 without changing results, and sigma = 0 runs never touch the generator.  The
 noise of a block of steps is drawn at once from the block stream of their
-step indices.
+step indices, about ``_BUDGET`` draws (an L2-sized block) at a time.
 """
 
 from __future__ import annotations

@@ -41,6 +41,18 @@ class ProcessSpec:
                     del _pending[0]
         return super().__new__(cls)
 
+    def __reduce__(self):
+        # Rebuilt through the class, so a pickle of any protocol loaded as the
+        # first spec of a process freezes the classes and validates the fields;
+        # by keyword, since a subclass may declare keyword-only fields.
+        from dataclasses import fields
+        return _rebuild, (type(self), {f.name: getattr(self, f.name)
+                                       for f in fields(self) if f.init})
+
+
+def _rebuild(cls: type, kwargs: dict) -> ProcessSpec:
+    return cls(**kwargs)
+
 
 class Brownian(ProcessSpec):
     drift: float = 0.0

@@ -96,6 +96,16 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_poisson_slot_block_past_its_bound_exits_2(self, tmp_path, capsys):
+        """A round of 1.5e9 slots, refused before anything is allocated."""
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "poisson", "--rate", 1e9, "--t", 1, "--dt", 0.1,
+                    "--n", 2, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: rate 1000000000.0 over horizon 1.0 needs 1.5e+09 Poisson slots "
+            "per round of draws, more than 16777216\n")
+        assert not out.exists()
+
     def test_gbm_sigma_past_the_float_range_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run(["simulate", "gbm", "--mu", 0.05, "--sigma", 1e200, "--t", 1,

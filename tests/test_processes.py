@@ -1,17 +1,20 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokit import (AdaptiveOU, Brownian, DomainError, GeometricBrownian,
                     GeometricLevy, LevyStable, OrnsteinUhlenbeck, Poisson,
                     GridError, SizeError, StabilityError, TimeGrid,
                     sample_gaussian, sample_poisson_events, sample_stable,
                     simulate, substream)
-from stokit import processes
-from stokit.processes import _BUDGET
+from stokit import processes, rng
+from stokit.processes import _BUDGET, _WIDE
 
 
 class TestSpecs:
@@ -307,6 +310,99 @@ def test_kernel_matches_per_instance_reference(name, workers):
         assert ens.values[i].tobytes() == path.tobytes(), f"instance {i}"
         if theta_path is not None:
             assert ens.theta_paths[i].tobytes() == theta_path.tobytes(), f"theta {i}"
+
+
+@pytest.mark.parametrize("name", ["ou", "aou"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_mean_reverting_tiles_match_per_instance_reference(name, workers):
+    """OU/AOU tiles are `_WIDE` rows or more, so the cases above fit in one
+    tile; here a full tile and a short one each cross step chunks."""
+    spec, n, horizon, dt = KERNEL_CASES[name][0], _WIDE + 76, 3.0, 0.01
+    grid = TimeGrid.from_horizon(horizon, dt)
+    assert n > _WIDE and grid.n_steps > 2 * (_BUDGET // _WIDE)
+    ens = simulate(spec, horizon, dt, n, 2024, workers=workers)
+    for i in (0, 1, _WIDE - 1, _WIDE, _WIDE + 1, n - 1):
+        path, theta_path = _reference_row(spec, grid, substream(2024, i))
+        assert ens.values[i].tobytes() == path.tobytes(), f"instance {i}"
+        if theta_path is not None:
+            assert ens.theta_paths[i].tobytes() == theta_path.tobytes(), f"theta {i}"
+
+
+FAMILIES = [Brownian(drift=0.1, scale=1.3, x0=0.5),
+            GeometricBrownian(mu=0.05, sigma=0.2, x0=2.0),
+            LevyStable(alpha=1.7, beta=0.0, scale=0.5, x0=1.0),
+            GeometricLevy(alpha=1.55, beta=0.2, scale=0.35, loc=0.02),
+            OrnsteinUhlenbeck(theta=2.0, mean=0.3, scale=0.5, x0=1.0),
+            KERNEL_CASES["aou"][0], Poisson(rate=50.0, jump=0.5)]
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=lambda spec: type(spec).__name__)
+@settings(deadline=None, max_examples=8)
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(1, 64),
+       st.integers(1, 8), st.integers(0, 2 ** 64 - 1))
+def test_tile_constants_do_not_move_a_bit(spec, n, steps, budget, wide, seed):
+    """Tiles of any row count and step chunks of any length give the bytes
+    of the default tiles, at 1 and 3 workers."""
+    whole = simulate(spec, steps * 0.01, 0.01, n, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(processes, "_BUDGET", budget)
+        patch.setattr(processes, "_WIDE", wide)
+        for workers in (1, 3):
+            tiled = simulate(spec, steps * 0.01, 0.01, n, seed, workers=workers)
+            assert tiled.values.tobytes() == whole.values.tobytes()
+            if whole.theta_paths is not None:
+                assert tiled.theta_paths.tobytes() == whole.theta_paths.tobytes()
+
+
+def test_ou_tiles_hold_a_few_budgets_beyond_values():
+    """A 10 000 x 1000 OU run holds, beyond its values, its tile's noise
+    draws and the x and theta of one step chunk: at most 10 float64 arrays of
+    `_BUDGET` draws (1.25 MiB at 2**14), where whole-path row blocks held
+    n_steps x rows x 8 bytes of state per thread."""
+    tracemalloc.start()
+    try:
+        ens = simulate(OrnsteinUhlenbeck(1.0, 0.0, 1.0, 0.0), 10.0, 0.01, 10_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - ens.values.nbytes <= 10 * 8 * _BUDGET
+
+
+class TestPoissonSlotBlock:
+    """Rates whose slot blocks are refused before anything is allocated: a
+    round of 1.5e9 slots would ask numpy for 12 GB a row."""
+
+    @pytest.mark.parametrize("rate, horizon", [(1e9, 1.0), (1e300, 1e10),
+                                               (1.2e7, 1.0)])
+    def test_refused_before_any_allocation(self, rate, horizon):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError, match="Poisson slots per round"):
+                simulate(Poisson(rate=rate), horizon, horizon / 10, 2, 1)
+            with pytest.raises(SizeError, match="Poisson slots per round"):
+                sample_poisson_events(substream(1, 0), rate, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("rate, n", [(2e4, 40), (1e3, 2000)])
+    def test_tiles_hold_a_few_rounds_of_slots(self, rate, n):
+        """Tiles are `_BUDGET // slots` rows (one row at rate 2e4), so a
+        round holds at most 8 float64 arrays of `max(_BUDGET, slots)` draws;
+        tiles of `_BUDGET // n_steps` rows held 40 and 1638 rows' rounds
+        (51 and 105 MB)."""
+        tracemalloc.start()
+        try:
+            ens = simulate(Poisson(rate=rate), 1.0, 0.1, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slots = rng._poisson_slot_block(rate, 1.0)
+        assert peak - ens.values.nbytes <= 8 * 8 * max(_BUDGET, slots)
+
+    def test_block_under_the_bound_is_drawn(self):
+        assert rng._poisson_slot_block(1e7, 1.0) == 15_000_001
 
 
 def test_poisson_case_needs_second_slot_block():

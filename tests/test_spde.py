@@ -4,7 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stokit import spde
 from stokit import (Dirichlet, DomainError, GridError, Neumann, SizeError,
                     SpdeSpec, StabilityError, extract_profiles,
                     simulate_heat_spde, spatial_mean)
@@ -163,3 +166,19 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         SpdeSpec(kappa=0.1, sigma=-0.1, length=1.0, boundary=Neumann(),
                  initial_profile=lambda x: x)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 12), st.integers(1, 40), st.integers(1, 64),
+       st.booleans(), st.integers(0, 2 ** 64 - 1))
+def test_noise_block_size_does_not_move_a_bit(nodes, steps, budget, dirichlet, seed):
+    """Step k draws from substream(seed, k), whatever the block of steps."""
+    spec = SpdeSpec(kappa=0.1, sigma=0.3, length=1.0,
+                    boundary=Dirichlet(0.2, -0.1) if dirichlet else Neumann(),
+                    initial_profile=lambda x: np.sin(np.pi * x))
+    dx = 1.0 / nodes
+    whole = simulate_heat_spde(spec, dx, 1e-3, steps * 1e-3, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spde, "_BUDGET", budget)
+        blocked = simulate_heat_spde(spec, dx, 1e-3, steps * 1e-3, seed)
+    assert blocked.u.tobytes() == whole.u.tobytes()

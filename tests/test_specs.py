@@ -72,6 +72,33 @@ def test_first_spec_of_a_process_may_come_from_a_pickle():
     assert lines == [repr(SPECS[-2]), "True"]
 
 
+@pytest.mark.parametrize("protocol", [0, 1, 2, 5])
+def test_first_spec_of_a_process_may_come_from_any_pickle_protocol(protocol):
+    """Protocols 0 and 1 rebuild through `copyreg`, not the class, unless the
+    spec says how to rebuild itself."""
+    spec = SPECS[-2]
+    lines = fresh("import dataclasses, pickle\n"
+                  f"spec = pickle.loads({pickle.dumps(spec, protocol=protocol)!r})\n"
+                  "print(repr(spec))\n"
+                  "print(dataclasses.is_dataclass(spec))\n"
+                  "import stokit\n"
+                  f"print(spec == stokit.{spec!r})")
+    assert lines == [repr(spec), "True", "True"]
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class Tagged(stokit.Brownian):
+    """A user subclass whose own field is keyword-only."""
+    tag: float
+
+
+@pytest.mark.parametrize("protocol", [0, 1, 2, 5])
+def test_keyword_only_subclass_round_trips_through_pickle(protocol):
+    spec = Tagged(drift=0.5, tag=2.0)
+    twin = pickle.loads(pickle.dumps(spec, protocol=protocol))
+    assert type(twin) is Tagged and twin == spec and repr(twin) == repr(spec)
+
+
 def test_user_subclasses_get_their_parents_fields():
     lines = fresh("""\
 import dataclasses, stokit
