@@ -15,28 +15,38 @@ inf, nan, text, and the empty cells that pad a shorter or empty column) is
 formatted by ``'%.17g' % x`` cell by cell.  The bytes are the same as
 ``'%.17g' % x`` for every cell.
 
-Cells are parsed as whole arrays too.  A cell such as ``%.17g`` writes,
+Cells are parsed as whole arrays too, from the file's bytes: no line but the
+header is decoded to text.  A cell such as ``%.17g`` writes,
 ``-?D+(.D+)?(e[+-]D{1,3})?`` with at most 19 significant digits, is read
-right-aligned in three 8-byte words; its digits become an integer by SWAR
-arithmetic, and Eisel–Lemire's product with a 128-bit table of 5**q rounds it
-to the nearest double, as ``float()`` does.  A piece of rows with any other
-cell, or with a subnormal, overflowing or too-close-to-call value, is read
-cell by cell by numpy's ``loadtxt`` rule: a cell stripped of whitespace must
-be ASCII, have no "_", and be a finite number to ``float()``.
+right-aligned in three 8-byte words, gathered as one 24-byte record per cell;
+its digits become an integer by SWAR arithmetic, and Eisel–Lemire's product
+with a 128-bit table of 5**q rounds it to the nearest double, as ``float()``
+does.  A run of lines with a CR line end, a blank line, any other cell, or a
+subnormal, overflowing or too-close-to-call value is decoded as UTF-8 (a byte
+that is not UTF-8 becomes a lone surrogate), split at LF, CRLF and CR as
+``io.TextIOWrapper(newline=None)`` splits it, and its lines that are not blank
+are parsed again: by the kernel, rejoined by LF, or else cell by cell by
+numpy's ``loadtxt`` rule: a cell stripped of whitespace must be ASCII, have no
+"_", and be a finite number to ``float()``.
 
-Tables are written and read in pieces of whole rows of about `_PIECE_CELLS`
-cells, and formatted `_SLICE_CELLS` cells at a time (~90 bytes of temporaries
-per cell), so the memory beyond a table's own arrays is one piece, not the
-file's text.  Every CSV file, the figure CSVs included, is written by
-`write_csv`; files and strings are read by one UTF-8 byte reader, so parsing
-a string holds about its UTF-8 bytes and one piece.
+Tables are written in pieces of whole rows of about `_PIECE_CELLS` cells,
+formatted `_SLICE_CELLS` cells at a time (~90 bytes of temporaries per cell).
+They are read in pieces of whole lines of about ``_PIECE_CELLS * _WINDOW``
+bytes (1.5 MB) into one buffer, twice: a first pass counts the rows from
+their line-end bytes, so that the ensemble's array is allocated once, and a
+second parses them in kernel runs of about ``_SLICE_CELLS * _WINDOW`` bytes
+(384 KB of lines, some 2**14 to 2**15 cells at ~70 bytes of temporaries each,
+which stay in a 2 MB L2 cache).  So the memory beyond a table's own arrays is
+one piece and one run, not the file's text.  Every
+CSV file, the figure CSVs included, is written by `write_csv`; files and
+strings are read by one UTF-8 byte reader, so parsing a string holds about
+its UTF-8 bytes and one piece.
 """
 
 from __future__ import annotations
 
 import functools
 import io
-import itertools
 import math
 
 import numpy as np
@@ -193,10 +203,13 @@ def _render(x: np.ndarray, seps: np.ndarray, words) -> bytearray:
 
 def _table_bytes(header: list[str], columns):
     """Yield `render_csv`'s UTF-8 bytes: the header line, then each piece of
-    rows a slice of cells at a time."""
-    lengths = [len(column) for column in columns]
-    is_text = [len(column) > 0 and isinstance(column[0], str) for column in columns]
-    n_cols, n_rows = len(columns), max(lengths)
+    rows a slice of cells at a time.  A 2-D array in ``columns`` is a block of
+    number columns, one per row of it."""
+    blocks = [column if getattr(column, "ndim", 1) == 2 else [column] for column in columns]
+    flat = [column for block in blocks for column in block]
+    lengths = [len(column) for column in flat]
+    is_text = [len(column) > 0 and isinstance(column[0], str) for column in flat]
+    n_cols, n_rows = len(flat), max(lengths)
     row_seps = np.full(n_cols, ord(","), np.uint8)
     row_seps[-1] = ord("\n")
     step = max(1, _PIECE_CELLS // n_cols)
@@ -204,11 +217,16 @@ def _table_bytes(header: list[str], columns):
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
         values, words = np.zeros((hi - lo, n_cols)), None
-        if not any(is_text) and min(lengths) >= hi:  # numbers only: one copy
-            values.T[...] = [column[lo:hi] for column in columns]
+        if not any(is_text) and min(lengths) >= hi:  # numbers only: a copy per block
+            j = 0
+            for block in blocks:
+                part = (block[:, lo:hi] if isinstance(block, np.ndarray)
+                        else [block[0][lo:hi]])
+                values.T[j:j + len(part)] = part
+                j += len(part)
         else:  # text or padding: column by column
             words = np.full((hi - lo, n_cols), None, object)
-            for j, (column, text) in enumerate(zip(columns, is_text)):
+            for j, (column, text) in enumerate(zip(flat, is_text)):
                 part = column[lo:hi]
                 if text:
                     words[:len(part), j] = part
@@ -234,8 +252,10 @@ def write_csv(path, header: list[str], columns) -> None:
 
 
 def ensemble_table(ensemble: Ensemble) -> tuple[list[str], list]:
+    """The header and columns of an ensemble's CSV: its times, then its
+    values matrix as one block of columns, one per instance."""
     header = ["time"] + [f"inst_{i}" for i in range(ensemble.num_instances)]
-    return header, [ensemble.grid.times, *ensemble.values]
+    return header, [ensemble.grid.times, ensemble.values]
 
 
 def ensemble_to_csv(ensemble: Ensemble) -> str:
@@ -282,27 +302,36 @@ def _high(a, b):
     return hi
 
 
-def _parse_cells(lines: list[str], n_columns: int):
-    """The float64 cells of ``lines`` in file order, if each line has
-    ``n_columns`` cells and each cell matches ``-?D+(.D+)?(e[+-]D{1,3})?`` with
-    at most 19 significant digits and a zero or normal finite value; else None.
-    Values are rounded correctly, as loadtxt rounds them."""
-    text = "\n".join([" " * _WINDOW, *lines, ""])  # the pad keeps windows in the buffer
-    if not text.isascii():
+_PAD = b" " * _WINDOW + b"\n"  # the bytes a window may read before the first line
+
+
+def _parse_cells(data, n_columns: int, lo: int = 0, hi: int | None = None):
+    """The float64 cells of the lines ``data[lo:hi]`` (bytes or bytearray, each
+    line ended by LF) in file order, if each line has ``n_columns`` cells and
+    each cell matches ``-?D+(.D+)?(e[+-]D{1,3})?`` with at most 19 significant
+    digits and a zero or normal finite value; else None.  Values are rounded
+    correctly, as loadtxt rounds them.  The lines are read in place when the
+    `_WINDOW` bytes and the LF before ``lo`` are there, else behind `_PAD`."""
+    hi = len(data) if hi is None else hi
+    if lo <= _WINDOW or data[lo - 1] != ord("\n"):
+        data, lo, hi = _PAD + data[lo:hi], len(_PAD), len(_PAD) + hi - lo
+    if hi == lo or data[hi - 1] != ord("\n"):
         return None
-    buf = np.frombuffer(raw := text.encode("ascii"), np.uint8)
-    del text
-    seps = buf == ord(",")  # cell i lies between separators seps[i] and seps[i + 1]
-    seps = np.flatnonzero(np.logical_or(seps, buf == ord("\n"), out=seps))
+    start = lo - 1  # the LF before the first line: byte _WINDOW of `buf`
+    buf = np.frombuffer(data, np.uint8, hi - start + _WINDOW, start - _WINDOW)
+    body = buf[_WINDOW:]
+    seps = body == ord("\n")  # cell i lies between separators seps[i] and seps[i + 1]
+    n_lines = np.count_nonzero(seps) - 1
+    seps = np.flatnonzero(np.logical_or(seps, body == ord(","), out=seps))
+    seps += _WINDOW
     n = seps.size - 1
-    if (n != len(lines) * n_columns
-            or (buf[seps[n_columns::n_columns]] != ord("\n")).any()):
+    if n != n_lines * n_columns or (buf[seps[n_columns::n_columns]] != ord("\n")).any():
         return None
     lead = seps[:-1] - seps[1:] + (_WINDOW + 1)  # the window place of a cell's first byte
     negative = buf[seps[:-1] + 1] == ord("-")
     q = np.zeros(n, np.int16)  # a cell is its digits' integer w times 10**q
-    if b"e" in raw:  # an exponent: 'e', a sign and one to three digits
-        e = np.flatnonzero(buf == ord("e"))
+    if data.find(b"e", lo, hi) >= 0:  # an exponent: 'e', a sign and one to three digits
+        e = np.flatnonzero(body == ord("e")) + _WINDOW
         cell = np.searchsorted(seps, e) - 1
         end, sign = seps[cell + 1], buf[e + 1]
         n_digits = end - e - 2
@@ -318,11 +347,10 @@ def _parse_cells(lines: list[str], n_columns: int):
     bad = (lead < 0) | (lead + negative >= _WINDOW)  # longer than the window, or no digit
     lead = np.clip(lead + negative, 0, _WINDOW).astype(np.int8)  # the first digit's place
     seps -= _WINDOW
-    windows = np.ndarray((buf.size - _WINDOW + 1, 3), np.uint64, raw, strides=(1, 8))
-    v = np.empty((3, n), np.uint64)  # v[k, i]: word k of cell i's window
-    for k in range(3):
-        v[k] = windows[seps[1:], k]
-    del seps, windows, buf, raw
+    # One record of the window's bytes per cell, then v[k, i]: word k of cell i's
+    windows = np.ndarray(buf.size - _WINDOW + 1, f"V{_WINDOW}", data, start - _WINDOW, (1,))
+    v = np.ascontiguousarray(windows[seps[1:]].view(np.uint64).reshape(n, 3).T)
+    del seps, windows, buf, body, data
     # Digits become the bytes 0-9 and the point 0x1E, the bytes before the
     # first digit 0.  Bit j of `points` is set if window place j holds a point.
     v ^= _EACH * ord("0")
@@ -418,8 +446,9 @@ def _eisel_lemire(w, q, negative, zero, bad):
 def _parse_piece(piece: list, header: list[str], source: str) -> np.ndarray:
     """Parse ``(file line number, line)`` rows; raise at the first faulty one."""
     lines = [line for _, line in piece]
-    if (block := _parse_cells(lines, len(header))) is not None:
-        return block.reshape(len(lines), -1)
+    data = "".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape")
+    if (block := _parse_cells(data, len(header))) is not None:
+        return block.reshape(len(lines), len(header))
     values = []
     for number, line in piece:
         if len(cells := line.split(",")) != len(header):
@@ -438,15 +467,62 @@ def _parse_piece(piece: list, header: list[str], source: str) -> np.ndarray:
                 raise SchemaError(f"{source}:{number}: non-finite value "
                                   f"{value} in column {name!r}")
             values.append(value)
-    return np.array(values).reshape(len(lines), -1)
+    return np.array(values).reshape(len(lines), len(header))
 
 
-def _parse_lines(lines, source: str) -> Ensemble:
-    """Count the rows of ``lines()`` (each call starts over), then parse them a
-    piece at a time into the ensemble's array."""
-    rows = lines()
-    if (first := next(rows, None)) is None:
+def _pieces(open_binary):
+    """Yield ``(buf, end)`` for the binary stream ``open_binary()``, opened and
+    closed here, read about ``_PIECE_CELLS * _WINDOW`` bytes at a time:
+    ``buf[len(_PAD):end]`` holds whole lines, each ended by LF, CRLF or CR (an
+    LF ends an unended last line), behind `_PAD`.  No piece splits a CRLF pair,
+    and the next piece overwrites ``buf``."""
+    start = rest = len(_PAD)
+    buf = bytearray(start + _PIECE_CELLS * _WINDOW)
+    buf[:start] = _PAD
+    with open_binary() as fh:
+        while n := fh.readinto(memoryview(buf)[rest:]):
+            end = rest + n
+            # after the last LF, or the last CR that a later byte shows is no CRLF
+            cut = max(buf.rfind(b"\n", start, end), buf.rfind(b"\r", start, end - 1)) + 1
+            if cut:
+                yield buf, cut
+                buf[start:start + end - cut] = buf[cut:end]
+                end += start - cut
+            rest = end
+            if rest == len(buf):  # a line longer than the buffer
+                buf = buf + bytearray(len(buf))
+        if rest > start:
+            if buf[rest - 1] != ord("\r"):
+                buf[rest] = ord("\n")
+                rest += 1
+            yield buf, rest
+
+
+def _first_line(buf, end: int) -> tuple[int, int]:
+    """Where the first line of the piece ``buf[len(_PAD):end]`` ends, and where
+    the next starts, past its LF, CRLF or CR."""
+    lf, cr = buf.find(b"\n", len(_PAD), end), buf.find(b"\r", len(_PAD), end)
+    stop = min(i for i in (lf, cr) if i >= 0)  # a piece ends in a line end
+    return stop, stop + 1 + (buf[stop:stop + 2] == b"\r\n")
+
+
+def _rows_in(buf, end: int) -> int:
+    """The lines in ``buf[len(_PAD):end]``, a piece from `_pieces`, that are not
+    blank: the line ends that follow neither a line end nor the pad's LF."""
+    b = np.frombuffer(buf, np.uint8, end - _WINDOW, _WINDOW)
+    ends = b == ord("\n")
+    if buf.find(b"\r", _WINDOW, end) >= 0:
+        ends |= b == ord("\r")
+    return int(np.count_nonzero(ends[1:] > ends[:-1]))
+
+
+def _header_and_rows(stream, source: str) -> tuple[list[str], int]:
+    """The checked header of the pieces ``stream`` and the number of rows
+    below it, from a count of line ends; no line is decoded but the header."""
+    if (piece := next(stream, None)) is None:
         raise SchemaError(f"{source}: empty file")
+    buf, end = piece
+    first = buf[len(_PAD):_first_line(buf, end)[0]].decode("utf-8", "surrogateescape")
     header = first.split(",")
     if header[0] != "time" or len(header) < 2:
         raise SchemaError(
@@ -454,15 +530,38 @@ def _parse_lines(lines, source: str) -> Ensemble:
     for i, name in enumerate(header[1:]):
         if name != f"inst_{i}":
             raise SchemaError(f"{source}: unexpected column {name!r} at position {i + 1}")
-    n_rows = sum(1 for line in rows if line)  # blank lines are skipped
+    rows = _rows_in(buf, end) - 1  # before the next piece overwrites `buf`
+    return header, rows + sum(_rows_in(*piece) for piece in stream)
+
+
+def _parse_lines(pieces, source: str) -> Ensemble:
+    """Count the rows of ``pieces()`` (each call starts over; see `_pieces`),
+    then parse them into the ensemble's array, kernel runs of about
+    ``_SLICE_CELLS * _WINDOW`` bytes at a time."""
+    header, n_rows = _header_and_rows(pieces(), source)
     times, values = np.empty(n_rows), np.empty((len(header) - 1, n_rows))
-    rows = ((n, line) for n, line in enumerate(lines(), 1) if n > 1 and line)
-    step, done = max(1, _PIECE_CELLS // len(header)), 0
-    while piece := list(itertools.islice(rows, step)):
-        block = _parse_piece(piece, header, source)
-        times[done:done + len(block)] = block[:, 0]
-        values[:, done:done + len(block)] = block[:, 1:].T
-        done += len(block)
+    number, done, step = 2, 0, _SLICE_CELLS * _WINDOW
+    for k, (buf, end) in enumerate(pieces()):
+        lo = _first_line(buf, end)[1] if k == 0 else len(_PAD)
+        cr = buf.find(b"\r", lo, end) >= 0  # CRLF and CR lines are decoded below
+        while lo < end:
+            hi = buf.find(b"\n", lo + step - 1, end) + 1 or end
+            block = None if cr else _parse_cells(buf, len(header), lo, hi)
+            if block is not None:
+                block = block.reshape(-1, len(header))
+                number += len(block)
+            else:  # decoded as `io.TextIOWrapper(newline=None)` decodes it
+                lines = buf[lo:hi].splitlines()
+                rows = [(number + i, line.decode("utf-8", "surrogateescape"))
+                        for i, line in enumerate(lines) if line]
+                block = _parse_piece(rows, header, source)
+                number += len(lines)
+            if done + len(block) > n_rows:
+                raise SchemaError(f"{source}: file changed while being read")
+            times[done:done + len(block)] = block[:, 0]
+            values[:, done:done + len(block)] = block[:, 1:].T
+            done += len(block)
+            lo = hi
     if done != n_rows:  # the file lost rows between the two passes
         raise SchemaError(f"{source}: file changed while being read")
     if n_rows < 2:
@@ -477,13 +576,6 @@ def _parse_lines(lines, source: str) -> Ensemble:
     return Ensemble(grid=grid, values=values, spec=None, seed=None)
 
 
-def _lines(open_binary):
-    """The UTF-8 lines of the binary stream ``open_binary()``, opened and closed
-    here, without their LF, CRLF or CR ends; a non-UTF-8 byte is a lone surrogate."""
-    with io.TextIOWrapper(open_binary(), "utf-8", "surrogateescape", newline=None) as fh:
-        yield from (line.rstrip("\n") for line in fh)
-
-
 def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     """Parse the `time,inst_0,...` schema back into an Ensemble.
 
@@ -492,9 +584,9 @@ def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
     reads them.  The returned ensemble carries no spec/seed provenance.
     """
     data = text.encode("utf-8", "surrogatepass")
-    return _parse_lines(lambda: _lines(functools.partial(io.BytesIO, data)), source)
+    return _parse_lines(lambda: _pieces(functools.partial(io.BytesIO, data)), source)
 
 
 def read_ensemble_csv(path) -> Ensemble:
     """`parse_ensemble_csv` of a UTF-8 file; a byte that is not UTF-8 is a bad value."""
-    return _parse_lines(lambda: _lines(functools.partial(open, path, "rb")), str(path))
+    return _parse_lines(lambda: _pieces(functools.partial(open, path, "rb")), str(path))

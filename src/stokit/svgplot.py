@@ -67,6 +67,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """A polyline's ``points``: ``x,y`` pairs as `_fmt` writes them, joined by
+    spaces, from one ``%`` over the interleaved coordinates."""
+    xy = np.column_stack([xs, ys]).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
+
+
 def _label(v: float) -> str:
     return f"{v:.4g}"
 
@@ -172,9 +179,8 @@ def _panel_lines(bundle: LineBundle) -> list[str]:
                          (lambda t: _label(10.0 ** t)) if bundle.log_y else _label)
     for idx, s in enumerate(bundle.series):
         color = _PALETTE[idx % len(_PALETTE)]
-        xs = _px(np.asarray(s.x, dtype=np.float64), *x_range).tolist()
-        ys = _py(transform_y(s.y), *y_range).tolist()
-        points = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(xs, ys))
+        points = _points(_px(np.asarray(s.x, dtype=np.float64), *x_range),
+                         _py(transform_y(s.y), *y_range))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
                      f'points="{points}"/>')
         parts.append(_text(_MARGIN_L + _PLOT_W - 4, _MARGIN_T + 14 + 14 * idx,

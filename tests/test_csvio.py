@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import io
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stokit import Brownian, GeometricLevy, SchemaError, cli, csvio, simulate
+from stokit import Brownian, GeometricLevy, SchemaError, TimeGrid, cli, csvio, simulate
 from stokit.cli import _dispatch_targets
 from stokit.csvio import (ensemble_to_csv, parse_ensemble_csv, read_ensemble_csv,
                           render_csv, write_csv)
@@ -134,6 +136,16 @@ def pieces(rows, n_columns):
     return mock.patch.object(csvio, "_PIECE_CELLS", rows * n_columns)
 
 
+def reads(read_cells, run_cells):
+    """Patch the reader to read ``read_cells * _WINDOW`` bytes at a time and to
+    run the kernel on ``run_cells * _WINDOW`` bytes of lines or the next line
+    end: a line or a few of the small tables here.  ``read_cells=None`` keeps
+    the real sizes."""
+    if read_cells is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(csvio, _PIECE_CELLS=read_cells, _SLICE_CELLS=run_cells)
+
+
 # (rows per piece, table rows) with table rows piece - 1, piece, piece + 1 or
 # 2 piece + 1.
 piece_and_rows = st.tuples(st.integers(1, 5), st.sampled_from([-1, 0, 1, None])).map(
@@ -172,8 +184,11 @@ def test_read_in_pieces_matches_parse_bit_for_bit(tmp_path, sizes, n_inst, data)
                        for _ in range(n_inst)])
     header = ["time"] + [f"inst_{i}" for i in range(n_inst)]
     path = tmp_path / "e.csv"
-    with pieces(piece, n_inst + 1):
-        write_csv(path, header, [np.arange(n_rows) * 0.25, *values])
+    times = np.arange(n_rows) * 0.25
+    with pieces(piece, n_inst + 1):  # the values as one block of columns, or row by row
+        write_csv(path, header, [times, values])
+        assert path.read_text(encoding="utf-8") == render_csv(header, [times, *values])
+    with reads(piece, piece):
         read = read_ensemble_csv(path)
         parsed = parse_ensemble_csv(path.read_text(encoding="utf-8"))
     assert read.values.tobytes() == parsed.values.tobytes() == values.tobytes()
@@ -181,12 +196,13 @@ def test_read_in_pieces_matches_parse_bit_for_bit(tmp_path, sizes, n_inst, data)
 
 
 def test_unpatched_piece_boundary(tmp_path):
-    n_rows = csvio._PIECE_CELLS // 3 + 1  # a full piece and one row
+    n_rows = 2 * (csvio._PIECE_CELLS // 3) + 1  # two full pieces and one row
     cols = [np.arange(n_rows) * 0.5,
             *np.random.default_rng(3).standard_normal((2, n_rows))]
     header = ["time", "inst_0", "inst_1"]
     path = tmp_path / "e.csv"
     write_csv(path, header, cols)
+    assert path.stat().st_size > csvio._PIECE_CELLS * csvio._WINDOW  # more than a read
     text = path.read_text(encoding="utf-8")
     assert text == render_csv(header, cols) == per_cell(header, cols)
     back = read_ensemble_csv(path)
@@ -213,7 +229,8 @@ def test_crlf_file_parses_like_lf(tmp_path):
     assert a.grid == b.grid == c.grid == d.grid == e.grid
 
 
-@pytest.mark.parametrize("piece", [1, 2, None])  # rows per piece; None: real size
+# reads of 24 bytes, kernel runs of 24 or 48 bytes; None: real sizes
+@pytest.mark.parametrize("piece", [1, 2, None])
 @pytest.mark.parametrize("text, message", FILE_LINE_ERRORS + [
     ("time,inst_0\n0,1\n1,2\n\n2,3\n3,x\n4,5\n",
      "src.csv:6: bad value 'x' in column 'inst_0'"),
@@ -227,7 +244,7 @@ def test_crlf_file_parses_like_lf(tmp_path):
 def test_fault_in_any_piece_names_its_file_line(tmp_path, piece, text, message):
     path = tmp_path / "src.csv"
     path.write_text(text, encoding="utf-8")
-    with pieces(piece, text.split("\n")[0].count(",") + 1):
+    with reads(None if piece is None else 1, piece):
         with pytest.raises(SchemaError) as from_text:
             parse_ensemble_csv(text, source="src.csv")
         with pytest.raises(SchemaError) as from_file:
@@ -244,10 +261,22 @@ def test_a_byte_that_is_not_utf8_is_a_bad_value(tmp_path):
     assert str(info.value) == f"{path}:3: bad value '\\udcff' in column 'inst_0'"
 
 
+def two_passes(*passes):
+    """A `_parse_lines` source whose k-th pass reads the lines ``passes[k]``."""
+    data = iter(["".join(line + "\n" for line in lines).encode() for lines in passes])
+    return lambda: csvio._pieces(functools.partial(io.BytesIO, next(data)))
+
+
 def test_rows_lost_between_the_two_passes_are_reported():
-    passes = iter([["time,inst_0", "0,1", "1,2", "2,3"], ["time,inst_0", "0,1", "1,2"]])
+    passes = two_passes(["time,inst_0", "0,1", "1,2", "2,3"], ["time,inst_0", "0,1", "1,2"])
     with pytest.raises(SchemaError, match="file changed while being read"):
-        csvio._parse_lines(lambda: iter(next(passes)), "src.csv")
+        csvio._parse_lines(passes, "src.csv")
+
+
+def test_rows_gained_between_the_two_passes_are_reported():
+    passes = two_passes(["time,inst_0", "0,1", "1,2"], ["time,inst_0", "0,1", "1,2", "2,3"])
+    with pytest.raises(SchemaError, match="file changed while being read"):
+        csvio._parse_lines(passes, "src.csv")
 
 
 def test_string_parse_holds_its_utf8_bytes_and_one_piece(tmp_path):
@@ -270,6 +299,98 @@ def test_string_parse_holds_its_utf8_bytes_and_one_piece(tmp_path):
     read = read_ensemble_csv(path)
     assert parsed.values.tobytes() == read.values.tobytes() == ensemble.values.tobytes()
     assert parsed.grid == read.grid
+
+
+# --- the byte reader's edges -----------------------------------------------------
+
+def parsed(data: bytes):
+    """The file bytes ``data`` as the reader parses them: the values and the
+    grid, or the SchemaError text."""
+    try:
+        ensemble = csvio._parse_lines(
+            lambda: csvio._pieces(functools.partial(io.BytesIO, data)), "src.csv")
+    except SchemaError as error:
+        return str(error)
+    return ensemble.values.tobytes(), ensemble.grid
+
+
+def text_reader_reference(data: bytes):
+    """`parsed` of the lines that `io.TextIOWrapper(newline=None)` reads from
+    ``data``, each ended by LF, at the real sizes: one read and one run."""
+    with io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape", newline=None) as fh:
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in fh)
+    return parsed(text.encode("utf-8", "surrogateescape"))
+
+
+EDGE_FEATURES = ["crlf", "cr", "blank", "unended", "utf8"]
+
+
+@st.composite
+def edge_files(draw):
+    """``(data, feature, fault, edge)``: a small ensemble file holding one of
+    `EDGE_FEATURES`, whose first read of ``edge`` bytes ends inside it or right
+    at it.  Other lines end in LF, CRLF or CR at random; with ``fault``, the
+    last cell is bad, so that the error names its line.  The first time cell
+    is padded with zeros (still 0) to move the feature onto a multiple of
+    `_WINDOW` bytes: reads are ``_PIECE_CELLS * _WINDOW`` bytes."""
+    n_inst, n_rows = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    cells = [["%.17g" % (0.25 * k)] + ["%.17g" % draw(finite_doubles) for _ in range(n_inst)]
+             for k in range(n_rows)]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in range(n_rows + 1)]
+    feature, at = draw(st.sampled_from(EDGE_FEATURES)), draw(st.integers(0, n_rows - 1))
+    char = draw(st.sampled_from(["\u00e9", "\u20ac", "\U0001f600"])).encode()  # 2-4 bytes
+    if feature == "utf8":
+        cells[at][-1] += char.decode()
+    if fault := draw(st.booleans()):
+        cells[-1][-1] = "x" + cells[-1][-1]
+    head = ",".join(["time"] + [f"inst_{i}" for i in range(n_inst)]) + ends[0]
+    data, edge = head.encode(), None
+    for k, (row, end) in enumerate(zip(cells, ends[1:])):
+        line = ",".join(row).encode()
+        if k == at and feature == "utf8":  # after the character's first byte
+            edge = len(data) + line.index(char) + 1
+        if feature == "unended" and k == n_rows - 1:
+            edge, end = len(data) + len(line) // 2 + 1, ""
+        elif k == at and feature in ("crlf", "cr"):
+            end = "\r\n" if feature == "crlf" else "\r"
+            edge = len(data) + len(line) + 1  # right after the CR
+        data += line + end.encode()
+        if k == at and feature == "blank":  # the blank line's end starts the next read
+            edge = len(data)
+            data += draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    pad = -edge % csvio._WINDOW
+    first = len(head.encode())  # the first time cell, "0"
+    return data[:first] + b"0" * pad + data[first:], feature, fault, edge + pad
+
+
+@given(edge_files(), st.sampled_from([1, 2 ** 14]))
+def test_byte_reader_edges_match_the_text_reader(file, slice_cells):
+    """A CRLF pair, a lone CR, a blank line, an unended last line or a
+    multi-byte character across the end of a read, with kernel runs of one
+    line or of the whole file: the reader gives the bits or the error text
+    that the lines of `io.TextIOWrapper(newline=None)` give."""
+    data, feature, fault, edge = file
+    want = text_reader_reference(data)
+    assert isinstance(want, str) == (feature == "utf8" or fault)
+    with mock.patch.object(csvio, "_PIECE_CELLS", edge // csvio._WINDOW), \
+            mock.patch.object(csvio, "_SLICE_CELLS", slice_cells):
+        assert parsed(data) == want
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+def test_long_and_short_lines_are_counted_as_the_text_reader_reads_them(crlf):
+    """The first pass counts rows from line-end bytes at the real sizes:
+    blank lines among lines of ~6 KB and of ~600 bytes (and a CR in a piece)
+    leave the rows the text reader reads."""
+    values = np.zeros((300, 200))
+    values[:, :6] = np.random.default_rng(5).standard_normal((300, 6))  # ~6 KB lines
+    header = ["time"] + [f"inst_{i}" for i in range(300)]
+    lines = render_csv(header, [np.arange(200) * 0.5, *values]).encode().split(b"\n")
+    lines[3:3] = lines[150:150] = [b""]  # blank lines among long and short lines
+    lines[5] += b"\r" * crlf
+    data = b"\n".join(lines)
+    want = text_reader_reference(data)
+    assert parsed(data) == want == (values.tobytes(), TimeGrid(dt=0.5, n_steps=199))
 
 
 # --- whole-array formatting against the per-cell rule --------------------------
@@ -450,12 +571,17 @@ def kernel_only():
     """Fail if the parse kernel declines a piece, which the walker then reads."""
     kernel = csvio._parse_cells
 
-    def taken(lines, n_columns):
-        assert (block := kernel(lines, n_columns)) is not None, "a piece left the kernel"
+    def taken(*args):
+        assert (block := kernel(*args)) is not None, "a piece left the kernel"
         return block
 
     with mock.patch.object(csvio, "_parse_cells", taken):
         yield
+
+
+def parse_cells(lines, n_columns):
+    """The parse kernel on ``lines``, each ended by LF, as UTF-8 bytes."""
+    return csvio._parse_cells("".join(line + "\n" for line in lines).encode(), n_columns)
 
 
 def kernel_is_loadtxt_or_declines(cells):
@@ -463,7 +589,7 @@ def kernel_is_loadtxt_or_declines(cells):
     loadtxt's, or it declines the table.  Return whether it took both."""
     took = True
     for lines, n_columns in (([",".join(cells)], len(cells)), (cells, 1)):
-        got = csvio._parse_cells(lines, n_columns)
+        got = parse_cells(lines, n_columns)
         if got is None:
             took = False
         else:
@@ -520,14 +646,14 @@ def test_kernel_takes_edge_cells(cell):
     "12345678901234567890", "1.2345678901234567890e+05", "0.0000000000000000000000001",
     "nan", "-inf", "inf", "", "1_0", "２", "0x10", "1e+05e+05"])
 def test_kernel_declines_other_cells(cell):
-    assert csvio._parse_cells(["1.5," + cell], 2) is None
-    assert csvio._parse_cells([cell + ",1.5"], 2) is None
+    assert parse_cells(["1.5," + cell], 2) is None
+    assert parse_cells([cell + ",1.5"], 2) is None
 
 
 def test_kernel_declines_a_wrong_row_width():
-    assert csvio._parse_cells(["1,2", "3"], 2) is None
-    assert csvio._parse_cells(["1,2", "3,4,5"], 2) is None
-    assert csvio._parse_cells(["1,2,3", "4"], 2) is None
+    assert parse_cells(["1,2", "3"], 2) is None
+    assert parse_cells(["1,2", "3,4,5"], 2) is None
+    assert parse_cells(["1,2,3", "4"], 2) is None
 
 
 malformed = st.sampled_from(["1E5", "+1", " 1.5", "1_0", "\uff12", "0x10", "nan", ""])
@@ -612,8 +738,8 @@ text = csvio.render_csv(["time", "inst_0", "inst_1", "inst_2"],
 kernel = csvio._parse_cells
 
 
-def kernel_only(lines, n_columns):  # the parse kernel takes every cell, or this fails
-    assert (block := kernel(lines, n_columns)) is not None, "a piece left the kernel"
+def kernel_only(*args):  # the parse kernel takes every cell, or this fails
+    assert (block := kernel(*args)) is not None, "a piece left the kernel"
     return block
 
 

@@ -261,7 +261,7 @@ def _reference_row(spec, grid, stream):
         lo, hi = (theta, theta) if fixed else (spec.theta_min, spec.theta_max)
         width = spec.scale * math.sqrt(dt)
         x, xs, thetas = spec.x0, [spec.x0], [theta]
-        for z in sample_gaussian(stream, n):
+        for z in sample_gaussian(stream, n).tolist():  # Python floats: the same IEEE steps
             x = x + theta * (spec.mean - x) * dt + width * z
             theta = min(max(theta + eta * (abs(x - spec.mean) - band) * dt, lo), hi)
             xs.append(x)

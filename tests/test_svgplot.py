@@ -174,3 +174,19 @@ def test_ramp_colors_match_the_scalar_rule():
     t = np.concatenate([_KNOT_VALUES, [np.nan], np.arange(1025) / 1024,
                         np.random.default_rng(3).uniform(0.0, 1.0, 20000)])
     assert svgplot._ramp_colors(t) == [_ramp_color(float(v)) for v in t]
+
+
+# -0.0, exact halves at the second decimal (0.125, 2.375, -0.625), their
+# neighbours, and magnitudes of 1e16 and up, where %.2f writes every digit.
+_POINT_VALUES = [-0.0, 0.0, 0.125, -0.125, 2.375, -0.625, 0.005, 1e16, -1e16,
+                 123456789012345678.0, 1e300, -1.7976931348623157e308,
+                 *(float(np.nextafter(v, d)) for v in (0.125, 2.375) for d in (-1.0, 9.0))]
+
+
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(_POINT_VALUES), _FINITE),
+                          st.one_of(st.sampled_from(_POINT_VALUES), _FINITE)),
+                min_size=1, max_size=12))
+def test_polyline_points_match_the_per_point_rule(pairs):
+    xs, ys = np.array(pairs).T
+    per_point = " ".join(f"{svgplot._fmt(a)},{svgplot._fmt(b)}" for a, b in pairs)
+    assert svgplot._points(xs, ys) == per_point
