@@ -4,7 +4,8 @@ Two tiers:
 
 * The RNG core (seed derivation, raw words, uniforms) uses only integer and
   exactly rounded float operations, so its digests hold on every platform.
-* The ``replicate --seed 12345`` outputs and a small evolve history go
+* The ``replicate --seed 12345`` outputs, a small evolve history, and the
+  outputs of ``simulate`` and ``diagnose`` on gbm and glevy go
   through transcendental numpy kernels whose last bits depend on the numpy
   build and on its SIMD dispatch target.  Their digests are checked only
   where both match the recorded environment; elsewhere the tests are skipped
@@ -134,3 +135,63 @@ def test_evolve_history_digest():
     record = np.array([best, *np.ravel(history)])
     assert _digest([record.astype("<f8").tobytes()]) == \
         "6acd694969ac9c2766a2acc16296e9ec6b6d03e9983c1c86bfa28e356abbb7a3"
+
+
+# `simulate` and `diagnose` runs pinned by the sha256 of every output file: a
+# file from each of gbm and glevy, then `diagnose` on it with --in and inline,
+# with every diagnostic and --svg, and with two fan levels alone.
+SIMULATE_SPECS = {
+    "gbm": ["--mu", "0.05", "--sigma", "0.2"],
+    "glevy": ["--alpha", "1.55", "--beta", "0.2", "--scale", "0.35", "--loc", "0.02"],
+}
+SIMULATE_RUN = ["--t", "2", "--dt", "0.01", "--n", "200", "--seed", "12345"]
+DIAGNOSE_FLAGS = {
+    "all": ["--fan", "--summary", "--growth", "--preasym", "--preasym-window", "20",
+            "--svg"],
+    "levels": ["--fan-levels", "0.025,0.5"],
+}
+# The inline runs' outputs are pinned to the same digests as the --in runs'.
+CLI_DIGESTS = {
+    "gbm.csv": "85854a29f355f8a7749e15eb741d6f398703eaf360aa363d8fbe434d8024fa3b",
+    "gbm_all_fan.csv": "391ddb68f506d8ec76ccd93f5e2fcd2787fa7f4c28e41ae2bb4b10fd5ffc150f",
+    "gbm_all_fan.svg": "01ac5aa95275522e680cf9fc5bcb34a3a897f3918288fa476d6d74713ecb669c",
+    "gbm_all_growth.csv": "34d06ca594187025c2da56daffe82e73e100d275016bc03a2272fcd7d13805cf",
+    "gbm_all_preasym.csv": "fecf624fc363b3bfa7ef632e0e58473723ca5cc0370295963854423ad7fb4e31",
+    "gbm_all_preasym.svg": "14aa046e8edf327d91d423a0bd10398ca62dabc05c9ef11b89723dc5b0639f78",
+    "gbm_all_summary.csv": "cd323a8dc3cf79cdb1de9e3b6edaf0d3ea087740993520065637e2d1434589d9",
+    "gbm_all_summary.svg": "52a25ea9dac298b79c856f72c314348124df6ee39aa113393f9e59d42d93a290",
+    "gbm_levels_fan.csv": "6023305303baff75fc43deebb4490414db5060644905e9037d672726c5b36fd7",
+    "glevy.csv": "df97657a19f73fb93b0f2da57d03f549ebbeb99253f6042a139dcc489a30f548",
+    "glevy_all_fan.csv": "f430e1bcd72a0275682e0665848bd4e83a376b385acea656c24225dd4e10685d",
+    "glevy_all_fan.svg": "f67121851775508de3db209ff7e3d19a76a0f057e1e6e4e8899f376d5f4f3cbe",
+    "glevy_all_growth.csv": "678898a2d0a9a641c0c0663b6db6f1d9c2564d504436150534bc228ab74e8881",
+    "glevy_all_preasym.csv": "84ab8e399a1c129ea4330175908661146b2c5b08cf77231006f585bc9a28e345",
+    "glevy_all_preasym.svg": "9300a3f761b6c24ad1ceb783d7fa0474555ae4d3ebf399e2669e07a154135b0c",
+    "glevy_all_summary.csv": "5708b01e5a13b4ca8ee5a1e66866b7f4fd3e8b292d7b302aa280ae06fea951ce",
+    "glevy_all_summary.svg": "290aa818550339aae9e4c9e0a12f00690c1044532fac8629f7f395fc4c661d12",
+    "glevy_levels_fan.csv": "d3bc7894d49e6fba224d6a0aed9abe4c8dbe30cb7dd42231f4b5007566548e15",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    """``{file name: sha256}`` of every output of the pinned runs."""
+    outdir = tmp_path_factory.mktemp("cli")
+    for family, spec in SIMULATE_SPECS.items():
+        ensemble = outdir / f"{family}.csv"
+        assert main(["simulate", family, *spec, *SIMULATE_RUN, "--out", str(ensemble)]) == 0
+        for name, flags in DIAGNOSE_FLAGS.items():
+            assert main(["diagnose", "--in", str(ensemble), *flags,
+                         "--out-prefix", str(outdir / f"{family}_in_{name}")]) == 0
+            assert main(["diagnose", "--family", family, *spec, *SIMULATE_RUN, *flags,
+                         "--out-prefix", str(outdir / f"{family}_inline_{name}")]) == 0
+    return {path.name: _digest([path.read_bytes()]) for path in sorted(outdir.iterdir())}
+
+
+def test_simulate_and_diagnose_digests(cli_outputs):
+    _require_recorded_environment()
+    simulated = {name: digest for name, digest in cli_outputs.items() if "_" not in name}
+    for source in ("in", "inline"):
+        got = {name.replace(f"_{source}_", "_"): digest
+               for name, digest in cli_outputs.items() if f"_{source}_" in name}
+        assert {**simulated, **got} == CLI_DIGESTS, source
