@@ -135,9 +135,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    from .csvio import read_ensemble_csv
-    from .diagnostics import (DEFAULT_FAN_LEVELS, _check_options, growth_rates,
-                              preasymptotic_report, quantile_fan, summary_curves)
+    from .csvio import read_ensemble_rows
+    from .diagnostics import (DEFAULT_FAN_LEVELS, _check_options, _TimeRowStats,
+                              preasymptotic_report)
     from .figures import (fan_series, fan_table, preasym_series, preasym_table,
                           summary_series, summary_table)
     from .processes import simulate
@@ -149,9 +149,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     levels = (_parse_levels(args.fan_levels) if args.fan_levels is not None
               else DEFAULT_FAN_LEVELS)
     preasym = (args.tail_fraction, args.preasym_window) if args.preasym else ()
-    _check_options(levels, *preasym)  # before any data is read or simulated
+    levels = _check_options(levels, *preasym)  # before any data is read or simulated
+    # --in streams the file's time rows into them, holding no ensemble array
+    stats = _TimeRowStats(levels if want_fan else None, args.summary, args.growth)
     if args.infile is not None:
-        ensemble = read_ensemble_csv(args.infile)
+        grid = read_ensemble_rows(args.infile, stats.add)
     else:
         spec = _spec_from_flags(args.family, args)
         for flag in ("t", "dt", "n"):
@@ -159,28 +161,30 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 raise DomainError(f"--{flag} is required when simulating inline")
         ensemble = simulate(spec, args.t, args.dt, args.n, args.seed,
                             workers=args.workers)
-    times = ensemble.grid.times
+        stats.add_matrix(ensemble.values)
+        grid = ensemble.grid
+    times = grid.times
 
     def chart(title, series):  # the SVG text, when --svg asks for charts
         return (render_svg(LineBundle(title, "time", "value", series))
                 if args.svg else None)
 
-    outputs = []
+    outputs = []  # computed in this order, so that the first failure is reported
     if want_fan:
-        fan = quantile_fan(ensemble, levels)
+        fan = stats.fan()
         outputs.append(("fan", fan_table(fan, times),
                         chart("Quantile fan", fan_series(fan, times))))
     if args.summary:
-        summary = summary_curves(ensemble)
+        summary = stats.summary_curves()
         outputs.append(("summary", summary_table(summary, times),
                         chart("Ensemble summaries", summary_series(summary, times))))
     if args.growth:
-        rates = growth_rates(ensemble)
+        rates = stats.growth_rates(grid.horizon)
         table = (["metric", "value"], [["time_average", "ensemble_average"],
                                        [rates.time_average, rates.ensemble_average]])
         outputs.append(("growth", table, None))
     if args.preasym:
-        report = preasymptotic_report(ensemble.values[0], ensemble.grid,  # inst_0
+        report = preasymptotic_report(stats.joined("inst_0"), grid,
                                       tail_fraction=args.tail_fraction,
                                       window=args.preasym_window)
         outputs.append(("preasym", preasym_table(report, times),

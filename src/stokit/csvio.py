@@ -32,19 +32,22 @@ numpy's ``loadtxt`` rule: a cell stripped of whitespace must be ASCII, have no
 Tables are written in pieces of whole rows of about `_PIECE_CELLS` cells,
 formatted `_SLICE_CELLS` cells at a time (~90 bytes of temporaries per cell).
 They are read in pieces of whole lines of about ``_PIECE_CELLS * _WINDOW``
-bytes (1.5 MB) into one buffer, twice: a first pass counts the rows from
-their line-end bytes, so that the ensemble's array is allocated once, and a
-second parses them in kernel runs of about ``_SLICE_CELLS * _WINDOW`` bytes
-(384 KB of lines, some 2**14 to 2**15 cells at ~70 bytes of temporaries each,
-which stay in a 2 MB L2 cache).  So the memory beyond a table's own arrays is
-one piece and one run, not the file's text.  Every
-CSV file, the figure CSVs included, is written by `write_csv`; files and
-strings are read by one UTF-8 byte reader, so parsing a string holds about
-its UTF-8 bytes and one piece.
+bytes (1.5 MB) into one buffer, and decoded once, in kernel runs of about
+``_SLICE_CELLS * _WINDOW`` bytes (384 KB of lines, some 2**14 to 2**15 cells
+at ~70 bytes of temporaries each, which stay in a 2 MB L2 cache).  A run's
+rows are a piece of time rows: a time-major (rows x instances) float64 block.
+`read_ensemble_rows` hands each piece to a consumer and holds no ensemble
+array; `read_ensemble_csv` first counts the rows from their line-end bytes,
+so that its array is allocated once, and copies each piece into it.  So the
+memory beyond a table's own arrays is one piece and one run, not the file's
+text.  Every CSV file, the figure CSVs included, is written by `write_csv`;
+files and strings are read by one UTF-8 byte reader, so parsing a string
+holds about its UTF-8 bytes and one piece.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
@@ -498,14 +501,6 @@ def _pieces(open_binary):
             yield buf, rest
 
 
-def _first_line(buf, end: int) -> tuple[int, int]:
-    """Where the first line of the piece ``buf[len(_PAD):end]`` ends, and where
-    the next starts, past its LF, CRLF or CR."""
-    lf, cr = buf.find(b"\n", len(_PAD), end), buf.find(b"\r", len(_PAD), end)
-    stop = min(i for i in (lf, cr) if i >= 0)  # a piece ends in a line end
-    return stop, stop + 1 + (buf[stop:stop + 2] == b"\r\n")
-
-
 def _rows_in(buf, end: int) -> int:
     """The lines in ``buf[len(_PAD):end]``, a piece from `_pieces`, that are not
     blank: the line ends that follow neither a line end nor the pad's LF."""
@@ -516,13 +511,12 @@ def _rows_in(buf, end: int) -> int:
     return int(np.count_nonzero(ends[1:] > ends[:-1]))
 
 
-def _header_and_rows(stream, source: str) -> tuple[list[str], int]:
-    """The checked header of the pieces ``stream`` and the number of rows
-    below it, from a count of line ends; no line is decoded but the header."""
-    if (piece := next(stream, None)) is None:
-        raise SchemaError(f"{source}: empty file")
-    buf, end = piece
-    first = buf[len(_PAD):_first_line(buf, end)[0]].decode("utf-8", "surrogateescape")
+def _header(buf, end: int, source: str) -> tuple[list[str], int]:
+    """The checked header, the first line of the first piece ``buf[len(_PAD):
+    end]``, and where the next line starts, past its LF, CRLF or CR."""
+    lf, cr = buf.find(b"\n", len(_PAD), end), buf.find(b"\r", len(_PAD), end)
+    stop = min(i for i in (lf, cr) if i >= 0)  # a piece ends in a line end
+    first = buf[len(_PAD):stop].decode("utf-8", "surrogateescape")
     header = first.split(",")
     if header[0] != "time" or len(header) < 2:
         raise SchemaError(
@@ -530,41 +524,42 @@ def _header_and_rows(stream, source: str) -> tuple[list[str], int]:
     for i, name in enumerate(header[1:]):
         if name != f"inst_{i}":
             raise SchemaError(f"{source}: unexpected column {name!r} at position {i + 1}")
-    rows = _rows_in(buf, end) - 1  # before the next piece overwrites `buf`
-    return header, rows + sum(_rows_in(*piece) for piece in stream)
+    return header, stop + 1 + (buf[stop:stop + 2] == b"\r\n")
 
 
-def _parse_lines(pieces, source: str) -> Ensemble:
-    """Count the rows of ``pieces()`` (each call starts over; see `_pieces`),
-    then parse them into the ensemble's array, kernel runs of about
-    ``_SLICE_CELLS * _WINDOW`` bytes at a time."""
-    header, n_rows = _header_and_rows(pieces(), source)
-    times, values = np.empty(n_rows), np.empty((len(header) - 1, n_rows))
-    number, done, step = 2, 0, _SLICE_CELLS * _WINDOW
-    for k, (buf, end) in enumerate(pieces()):
-        lo = _first_line(buf, end)[1] if k == 0 else len(_PAD)
-        cr = buf.find(b"\r", lo, end) >= 0  # CRLF and CR lines are decoded below
-        while lo < end:
-            hi = buf.find(b"\n", lo + step - 1, end) + 1 or end
-            block = None if cr else _parse_cells(buf, len(header), lo, hi)
-            if block is not None:
-                block = block.reshape(-1, len(header))
-                number += len(block)
-            else:  # decoded as `io.TextIOWrapper(newline=None)` decodes it
-                lines = buf[lo:hi].splitlines()
-                rows = [(number + i, line.decode("utf-8", "surrogateescape"))
-                        for i, line in enumerate(lines) if line]
-                block = _parse_piece(rows, header, source)
-                number += len(lines)
-            if done + len(block) > n_rows:
-                raise SchemaError(f"{source}: file changed while being read")
-            times[done:done + len(block)] = block[:, 0]
-            values[:, done:done + len(block)] = block[:, 1:].T
-            done += len(block)
-            lo = hi
-    if done != n_rows:  # the file lost rows between the two passes
-        raise SchemaError(f"{source}: file changed while being read")
-    if n_rows < 2:
+def _time_rows(pieces, source: str, take) -> TimeGrid:
+    """Parse ``pieces()`` (see `_pieces`; closed here, on an error too) in one
+    decode pass; return the grid of its time column.  ``take`` gets each
+    kernel run's rows below the header in turn: a time-major (rows x
+    instances) float64 block, with contiguous rows, that it may overwrite."""
+    header, times, number, step = None, [], 2, _SLICE_CELLS * _WINDOW
+    with contextlib.closing(pieces()) as stream:
+        for buf, end in stream:
+            lo = len(_PAD)
+            if header is None:
+                header, lo = _header(buf, end, source)
+            cr = buf.find(b"\r", lo, end) >= 0  # CRLF and CR lines are decoded below
+            while lo < end:
+                hi = buf.find(b"\n", lo + step - 1, end) + 1 or end
+                block = None if cr else _parse_cells(buf, len(header), lo, hi)
+                if block is not None:
+                    block = block.reshape(-1, len(header))
+                    number += len(block)
+                else:  # decoded as `io.TextIOWrapper(newline=None)` decodes it
+                    lines = buf[lo:hi].splitlines()
+                    rows = [(number + i, line.decode("utf-8", "surrogateescape"))
+                            for i, line in enumerate(lines) if line]
+                    block = _parse_piece(rows, header, source)
+                    number += len(lines)
+                times.append(block[:, 0].copy())  # not a view that holds the block
+                if len(block):  # a run of blank lines has no rows
+                    take(block[:, 1:])
+                del block  # before the next run's temporaries
+                lo = hi
+    if header is None:
+        raise SchemaError(f"{source}: empty file")
+    times = np.concatenate([np.empty(0), *times])
+    if times.size < 2:
         raise SchemaError(f"{source}: need at least 2 grid rows")
     dts = np.diff(times)
     dt = float(dts[0])
@@ -572,7 +567,28 @@ def _parse_lines(pieces, source: str) -> Ensemble:
         raise SchemaError(f"{source}: time column is not a uniform grid")
     if abs(times[0]) > 1e-12:
         raise SchemaError(f"{source}: time grid must start at 0, got {times[0]}")
-    grid = TimeGrid(dt=dt, n_steps=n_rows - 1)
+    return TimeGrid(dt=dt, n_steps=times.size - 1)
+
+
+def _parse_lines(pieces, source: str) -> Ensemble:
+    """Count the rows of ``pieces()`` (each call starts over; see `_pieces`)
+    from their line ends, so that the ensemble's array is allocated once, then
+    fill it from `_time_rows`."""
+    n_rows = sum(_rows_in(*piece) for piece in pieces()) - 1  # the header is a row
+    values, done = None, 0
+
+    def fill(rows):
+        nonlocal values, done
+        if values is None:
+            values = np.empty((rows.shape[1], n_rows))
+        if done + len(rows) > n_rows:
+            raise SchemaError(f"{source}: file changed while being read")
+        values[:, done:done + len(rows)] = rows.T
+        done += len(rows)
+
+    grid = _time_rows(pieces, source, fill)
+    if done != n_rows:  # the file lost rows between the two passes
+        raise SchemaError(f"{source}: file changed while being read")
     return Ensemble(grid=grid, values=values, spec=None, seed=None)
 
 
@@ -590,3 +606,10 @@ def parse_ensemble_csv(text: str, source: str = "<input>") -> Ensemble:
 def read_ensemble_csv(path) -> Ensemble:
     """`parse_ensemble_csv` of a UTF-8 file; a byte that is not UTF-8 is a bad value."""
     return _parse_lines(lambda: _pieces(functools.partial(open, path, "rb")), str(path))
+
+
+def read_ensemble_rows(path, take) -> TimeGrid:
+    """Stream the file ``path`` as `read_ensemble_csv` reads it, holding no
+    ensemble array: ``take`` gets its blocks of time rows (see `_time_rows`),
+    and its grid is returned.  A faulty row raises when it is reached."""
+    return _time_rows(lambda: _pieces(functools.partial(open, path, "rb")), str(path), take)

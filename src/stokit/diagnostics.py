@@ -1,7 +1,10 @@
 """Ensemble and trajectory statistics: quantile fans, summary curves,
 time- vs ensemble-average growth rates, and preasymptotic measures.
 
-All functions are pure; none mutate their inputs.
+All functions are pure; none mutate their inputs.  The fan, the summaries
+and the growth rates come from blocks of time rows (one row per time point):
+`diagnose --in` streams them from the CSV reader, while inline runs and the
+library functions feed a copy of ``values.T``, through the same code.
 """
 
 from __future__ import annotations
@@ -69,11 +72,98 @@ def _check_options(levels=None, tail_fraction=None, window=None):
     return levels
 
 
-def _sorted_by_time(values: np.ndarray) -> np.ndarray:
-    """(times x instances) copy of ``values``, each row sorted (NaNs last)."""
-    rows = values.T.copy()
-    rows.sort(axis=1)
-    return rows
+class _TimeRowStats:
+    """Per-time-point statistics of an ensemble fed in time order, as blocks
+    of time rows ((times x instances) arrays that `add` may sort in place) or
+    as a whole matrix: ``inst_0``, the first and last rows, and as asked for,
+    the fan at ``levels`` (None: no fan), the `SummaryCurves` (``summary``),
+    and the positivity that `GrowthRates` needs (``growth``).  Means sum each
+    time point's values one instance after another, in the order of
+    ``values.mean(axis=0)``; each block of time rows is sorted once for both
+    the fan and the median.  Errors are raised when a result is asked for."""
+
+    def __init__(self, levels=None, summary=False, growth=False):
+        self.levels, self.summary, self.growth = levels, summary, growth
+        self.parts = {"fan": [], "median": [], "sums": [], "log_sums": [], "inst_0": []}
+        self.n, self.nonpositive, self.first, self.last = 0, False, None, None
+
+    def add(self, rows: np.ndarray) -> None:
+        """Take the next block of time rows, sorting its rows if need be."""
+        # a row's cumsum adds 0.0 + x_0 + x_1 + ..., as numpy's reduction does
+        self._add_columns(rows.T, lambda columns: np.cumsum(columns, axis=0)[-1] + 0.0)
+        self._add_sorted(rows)
+
+    def add_matrix(self, values: np.ndarray) -> _TimeRowStats:
+        """Feed the (instances x times) ``values``, unchanged: its columns,
+        then a time-major copy as one block of time rows."""
+        if not values.shape[0]:
+            raise SizeError("an ensemble needs at least 1 instance")
+        self._add_columns(values, lambda columns: np.add.reduce(columns, axis=0))
+        if self.levels is not None or self.summary:
+            self._add_sorted(values.T.copy())
+        return self
+
+    def _add_columns(self, columns: np.ndarray, column_sums) -> None:
+        """``inst_0``, the ends, the signs and the sums of (instances x
+        times) ``columns``, whose sums ``column_sums`` takes."""
+        self.n = len(columns)
+        self.parts["inst_0"].append(columns[0].copy())
+        if self.growth:
+            self.first = columns[:, 0].copy() if self.first is None else self.first
+            self.last = columns[:, -1].copy()
+        if self.summary or self.growth:
+            self.nonpositive = self.nonpositive or bool((columns <= 0.0).any())
+        if self.summary:
+            self.parts["sums"].append(column_sums(columns))
+            if not self.nonpositive:
+                self.parts["log_sums"].append(column_sums(np.log(columns)))
+
+    def _add_sorted(self, rows: np.ndarray) -> None:
+        """The fan and the median of time rows ``rows``, sorted in place."""
+        if self.levels is None and not self.summary:
+            return
+        n = rows.shape[1]
+        rows.sort(axis=1)  # NaNs last
+        nan = np.isnan(rows[:, -1])
+        if self.levels is not None:  # np.quantile's "linear" arithmetic
+            virtual = (n - 1) * np.array(self.levels)
+            lo = np.floor(virtual)
+            gamma = (virtual - lo)[:, None]
+            lo = lo.astype(np.intp)
+            below, above = rows[:, lo].T, rows[:, np.minimum(lo + 1, n - 1)].T
+            diff = above - below
+            curves = below + diff * gamma
+            np.subtract(above, diff * (1 - gamma), out=curves, where=gamma >= 0.5)
+            np.copyto(curves, rows[:, -1], where=nan)
+            self.parts["fan"].append(curves)
+        if self.summary:  # the mean of the middle one or two values, as np.median
+            median = rows[:, (n - 1) // 2:n // 2 + 1].mean(axis=1)
+            np.copyto(median, rows[:, -1], where=nan)
+            self.parts["median"].append(median)
+
+    def joined(self, name: str) -> np.ndarray:  # one of `parts`, over every time
+        return np.concatenate(self.parts[name], axis=-1)
+
+    def fan(self) -> QuantileFan:
+        if self.n < 2:
+            raise SizeError("quantile fan needs at least 2 instances")
+        return QuantileFan(levels=self.levels, curves=self.joined("fan"))
+
+    def summary_curves(self) -> SummaryCurves:
+        if self.nonpositive:
+            raise PositivityError("geometric mean requires strictly positive values")
+        return SummaryCurves(arithmetic_mean=self.joined("sums") / self.n,
+                             median=self.joined("median"),
+                             geometric_mean=np.exp(self.joined("log_sums") / self.n))
+
+    def growth_rates(self, horizon: float) -> GrowthRates:
+        if self.nonpositive:
+            raise PositivityError("growth rates require strictly positive values")
+        if horizon <= 0.0:
+            raise DegenerateError("growth rates need a positive horizon")
+        ratios = self.last / self.first
+        return GrowthRates(time_average=float(np.mean(np.log(ratios)) / horizon),
+                           ensemble_average=float(np.log(np.mean(ratios)) / horizon))
 
 
 def quantile_fan(ensemble: Ensemble, levels=DEFAULT_FAN_LEVELS) -> QuantileFan:
@@ -84,18 +174,7 @@ def quantile_fan(ensemble: Ensemble, levels=DEFAULT_FAN_LEVELS) -> QuantileFan:
     levels = _check_options(levels=levels)
     if ensemble.num_instances < 2:
         raise SizeError("quantile fan needs at least 2 instances")
-    rows = _sorted_by_time(ensemble.values)
-    n = rows.shape[1]
-    virtual = (n - 1) * np.array(levels)
-    lo = np.floor(virtual)
-    gamma = (virtual - lo)[:, None]
-    lo = lo.astype(np.intp)
-    below, above = rows[:, lo].T, rows[:, np.minimum(lo + 1, n - 1)].T
-    diff = above - below
-    curves = below + diff * gamma
-    np.subtract(above, diff * (1 - gamma), out=curves, where=gamma >= 0.5)
-    np.copyto(curves, rows[:, -1], where=np.isnan(rows[:, -1]))
-    return QuantileFan(levels=levels, curves=curves)
+    return _TimeRowStats(levels=levels).add_matrix(ensemble.values).fan()
 
 
 def summary_curves(ensemble: Ensemble) -> SummaryCurves:
@@ -106,32 +185,12 @@ def summary_curves(ensemble: Ensemble) -> SummaryCurves:
     geometric mean is exp(mean of logs) and requires strictly positive
     values everywhere.
     """
-    values = ensemble.values
-    if np.any(values <= 0.0):
-        raise PositivityError("geometric mean requires strictly positive values")
-    rows = _sorted_by_time(values)
-    n = rows.shape[1]
-    median = rows[:, (n - 1) // 2:n // 2 + 1].mean(axis=1)
-    np.copyto(median, rows[:, -1], where=np.isnan(rows[:, -1]))
-    return SummaryCurves(
-        arithmetic_mean=values.mean(axis=0),
-        median=median,
-        geometric_mean=np.exp(np.log(values).mean(axis=0)),
-    )
+    return _TimeRowStats(summary=True).add_matrix(ensemble.values).summary_curves()
 
 
 def growth_rates(ensemble: Ensemble) -> GrowthRates:
-    values = ensemble.values
-    if np.any(values <= 0.0):
-        raise PositivityError("growth rates require strictly positive values")
-    horizon = ensemble.grid.horizon
-    if horizon <= 0.0:
-        raise DegenerateError("growth rates need a positive horizon")
-    ratios = values[:, -1] / values[:, 0]
-    return GrowthRates(
-        time_average=float(np.mean(np.log(ratios)) / horizon),
-        ensemble_average=float(np.log(np.mean(ratios)) / horizon),
-    )
+    stats = _TimeRowStats(growth=True).add_matrix(ensemble.values)
+    return stats.growth_rates(ensemble.grid.horizon)
 
 
 def estimate_asymptote(series, grid: TimeGrid, tail_fraction: float = 0.5

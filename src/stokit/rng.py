@@ -59,9 +59,21 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U64(30))) * _MIX_A_U
-    z = (z ^ (z >> _U64(27))) * _MIX_B_U
-    return z ^ (z >> _U64(31))
+    """SplitMix64 finalizer on a uint64 array, in place, with one temporary."""
+    t = np.right_shift(z, _U64(30))
+    z ^= t
+    z *= _MIX_A_U
+    z ^= np.right_shift(z, _U64(27), out=t)
+    z *= _MIX_B_U
+    z ^= np.right_shift(z, _U64(31), out=t)
+    return z
+
+
+def _to_uniforms(w: np.ndarray) -> np.ndarray:
+    """``((w >> 11) + 0.5) * 2**-53`` of the uint64 words ``w``, in place."""
+    w >>= _U64(11)
+    u = w.view(np.float64)
+    return np.multiply(np.add(w, 0.5, out=u), 2.0 ** -53, out=u)
 
 
 def _check_u64(value: int, name: str) -> int:
@@ -118,8 +130,19 @@ class RngStream:
         """n uniforms on the open interval (0, 1); one counter slot each."""
         if n < 0:
             raise SizeError(f"sample count must be >= 0, got {n}")
-        w = self._words(n)
-        return ((w >> _U64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        return _to_uniforms(self._words(n))
+
+    def _uniform_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The uniforms of slots ``counter + 2k`` and ``counter + 2k + 1``,
+        k < n, as two contiguous halves of one buffer; advances the counter
+        by 2n."""
+        even = np.arange(self.counter, self.counter + 2 * n, 2, dtype=np.uint64)
+        self.counter += 2 * n
+        z = np.empty((2, *np.shape(self._base), n), np.uint64)
+        np.add(self._base[..., None], even * _GOLDEN_U, out=z[0])
+        np.add(z[0], _GOLDEN_U, out=z[1])  # (slot + 1) * gamma, mod 2**64
+        u = _to_uniforms(_mix64_array(z))
+        return u[0], u[1]
 
 
 def substream(seed: int, stream_id) -> RngStream:
@@ -130,8 +153,9 @@ def substream(seed: int, stream_id) -> RngStream:
 
 def sample_gaussian(stream: RngStream, n: int) -> np.ndarray:
     """n independent standard-normal variates (Box-Muller, cosine branch)."""
-    u = stream.uniforms(2 * _checked_count(n))
-    return np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
+    u, v = stream._uniform_pairs(_checked_count(n))
+    np.sqrt(np.multiply(np.log(u, out=u), -2.0, out=u), out=u)
+    return u * np.cos(np.multiply(v, 2.0 * np.pi, out=v), out=v)  # a new array
 
 
 def sample_stable(stream: RngStream, alpha: float, beta: float, n: int) -> np.ndarray:
@@ -144,9 +168,9 @@ def sample_stable(stream: RngStream, alpha: float, beta: float, n: int) -> np.nd
     refused: it is the S1 parameterization's pole.
     """
     _check_stable_shape(alpha, beta)
-    u = stream.uniforms(2 * _checked_count(n))
-    angle = np.pi * (u[..., 0::2] - 0.5)     # uniform on (-pi/2, pi/2)
-    expo = -np.log(u[..., 1::2])             # exponential(1)
+    angle, expo = stream._uniform_pairs(_checked_count(n))
+    np.multiply(np.subtract(angle, 0.5, out=angle), np.pi, out=angle)  # on (-pi/2, pi/2)
+    np.negative(np.log(expo, out=expo), out=expo)                      # exponential(1)
     if alpha == 1.0:
         half_pi = 0.5 * np.pi
         t1 = (half_pi + beta * angle) * np.tan(angle)

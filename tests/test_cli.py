@@ -1,17 +1,24 @@
+import contextlib
 import hashlib
+import importlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stokit import (GeometricBrownian, OrnsteinUhlenbeck, cli, csvio, errors,
-                    growth_rates, processes, quantile_fan, simulate, summary_curves)
+                    growth_rates, preasymptotic_report, processes, quantile_fan,
+                    simulate, summary_curves)
 from stokit.cli import _dispatch_targets, main
 from stokit.csvio import read_ensemble_csv
 
@@ -532,10 +539,30 @@ class TestReplicateCommand:
         np.testing.assert_array_equal(ens.values, direct.values)
 
 
+def traced_diagnose(monkeypatch, argv):
+    """Run the `diagnose` argv ``argv`` under a started tracemalloc; return
+    the peak of what its handler allocated beyond what was allocated before
+    it, so that the argument parser built before it is not counted."""
+    handler, peak = cli.cmd_diagnose, []
+
+    def traced(args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        code = handler(args)
+        peak.append(tracemalloc.get_traced_memory()[1] - before)
+        return code
+
+    monkeypatch.setattr(cli, "cmd_diagnose", traced)
+    assert run(argv) == 0
+    return peak[0]
+
+
 def test_csv_io_memory_is_one_piece_not_the_file(tmp_path, monkeypatch):
-    """`simulate --out` and `diagnose --in` add less than a quarter of the
-    file's size to what the ensemble array itself takes: neither holds the
-    file's text or a second full-size table."""
+    """`simulate --out` adds less than a quarter of the file's size to what
+    the ensemble array itself takes, and a whole `diagnose --in` run (read,
+    diagnostics and outputs) less than a quarter of the file's size: neither
+    holds the file's text or a second full-size table, and `diagnose --in`
+    holds no ensemble array."""
     monkeypatch.setattr(csvio, "_PIECE_CELLS", 2048)  # 6-row pieces here
     added = {}
 
@@ -545,29 +572,155 @@ def test_csv_io_memory_is_one_piece_not_the_file(tmp_path, monkeypatch):
         added["before_write"] = tracemalloc.get_traced_memory()[0]
         return ensemble
 
-    def traced_read(path):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        ensemble = read_ensemble_csv(path)
-        added["read"] = (tracemalloc.get_traced_memory()[1] - before
-                         - ensemble.values.nbytes)
-        return ensemble
-
     monkeypatch.setattr(processes, "simulate", simulate_then_mark)
-    monkeypatch.setattr(csvio, "read_ensemble_csv", traced_read)
     out = tmp_path / "e.csv"
+    diagnose = ["diagnose", "--in", out, "--growth", "--out-prefix", tmp_path / "d"]
+    importlib.import_module("stokit.figures")  # and what it imports, before tracing
     tracemalloc.start()
     try:
         assert run(["simulate", "gbm", "--mu", 0.05, "--sigma", 0.2, "--t", 2,
                     "--dt", 0.01, "--n", 300, "--seed", 5, "--out", out]) == 0
         added["write"] = tracemalloc.get_traced_memory()[1] - added["before_write"]
-        assert run(["diagnose", "--in", out, "--growth",
-                    "--out-prefix", tmp_path / "d"]) == 0
+        added["read"] = traced_diagnose(monkeypatch, diagnose)
     finally:
         tracemalloc.stop()
     quarter = out.stat().st_size / 4
     assert added["write"] < quarter
     assert added["read"] < quarter
+
+
+def test_diagnose_in_of_a_large_file_stays_small(tmp_path, monkeypatch):
+    """Every diagnostic and chart of a 1000 x 1001 file (19 MB of text, 8 MB
+    of values) peaks under 6 MB."""
+    out = tmp_path / "e.csv"
+    assert run(["simulate", "gbm", "--mu", 0.05, "--sigma", 0.2, "--t", 10,
+                "--dt", 0.01, "--n", 1000, "--seed", 5, "--out", out]) == 0
+    every = ["diagnose", "--in", out, "--fan", "--summary", "--growth", "--preasym",
+             "--svg", "--out-prefix", tmp_path / "d"]
+    assert run(every) == 0  # the first run imports modules and builds tables
+    tracemalloc.start()
+    try:
+        peak = traced_diagnose(monkeypatch, every)
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+# --- diagnose --in on faulty files, at piece edges ----------------------------
+
+EVERY_DIAGNOSTIC = ["--fan", "--summary", "--growth", "--preasym", "--preasym-window", "3"]
+FAULTS = ["none", "bad", "short", "nonuniform", "offset", "single", "blank", "cr",
+          "crlf", "utf8"]
+
+
+@st.composite
+def faulty_files(draw):
+    """``(fault, bytes of the file, bytes of the file without it)``: a few
+    rows of positive values, maybe one non-positive value, and one fault."""
+    n_inst, n_rows = draw(st.integers(1, 3)), draw(st.integers(2, 9))
+    cells = [[repr(0.25 * r)] + [repr(draw(st.floats(0.125, 8.0))) for _ in range(n_inst)]
+             for r in range(n_rows)]
+    if draw(st.booleans()):
+        cells[draw(st.integers(0, n_rows - 1))][draw(st.integers(1, n_inst))] = "-1.5"
+    fault, r = draw(st.sampled_from(FAULTS)), draw(st.integers(0, n_rows - 1))
+    clean = ["time," + ",".join(f"inst_{i}" for i in range(n_inst))]
+    clean += [",".join(row) for row in cells]
+    lines, end = list(clean), "\n"
+    if fault == "bad":
+        lines[1 + r] = lines[1 + r].rsplit(",", 1)[0] + "," + draw(
+            st.sampled_from(["x", "nan", "-inf", "1e999", "", "1_0"]))
+    elif fault == "short":
+        lines[1 + r] = lines[1 + r].rsplit(",", 1)[0]
+    elif fault == "nonuniform":
+        lines[1 + r] = repr(0.25 * r + 0.125) + "," + lines[1 + r].split(",", 1)[1]
+    elif fault == "offset":
+        lines[1:] = [repr(0.25 * k + 0.5) + "," + line.split(",", 1)[1]
+                     for k, line in enumerate(lines[1:])]
+    elif fault == "single":
+        lines = lines[:2]
+    elif fault == "blank":
+        lines.insert(1 + r, "")
+    elif fault in ("cr", "crlf"):
+        end = {"cr": "\r", "crlf": "\r\n"}[fault]
+    elif fault == "utf8":
+        lines[1 + r] += "\udcff"
+    data = "".join(line + end for line in lines).encode("utf-8", "surrogateescape")
+    return fault, data, "".join(line + "\n" for line in clean).encode()
+
+
+def matrix_outcome(path):
+    """Exit code and message of `diagnose --in path` with `EVERY_DIAGNOSTIC`,
+    as reading the whole ensemble first and then running each diagnostic in
+    order gives them."""
+    try:
+        ensemble = read_ensemble_csv(path)
+        quantile_fan(ensemble)
+        summary_curves(ensemble)
+        growth_rates(ensemble)
+        preasymptotic_report(ensemble.values[0], ensemble.grid, window=3)
+    except errors.StokitError as exc:
+        return exc.exit_code, f"error: {exc}\n"
+    return 0, ""
+
+
+def outputs(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()
+            if path.name.startswith("d_")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(faulty_files(), st.integers(1, 3), st.integers(1, 2))
+@example(("blank", b"time,inst_0,inst_1\n\n0,1,1\n0.25,1,1\n",
+          b"time,inst_0,inst_1\n0,1,1\n0.25,1,1\n"), 1, 1)  # a piece of one blank line
+def test_streamed_diagnose_fails_as_the_matrix_path(case, read_cells, run_cells):
+    """Whatever piece and kernel-run edge a fault falls at, `diagnose --in`
+    gives the exit code and one-line message of reading the whole file and
+    then running each diagnostic in turn (parse errors, then grid errors,
+    then fan, summary, growth and preasym), writes no file when it fails and
+    the clean file's bytes when it does not, and leaves no file open."""
+    fault, data, clean = case
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "e.csv").write_bytes(data)
+        (tmp / "clean.csv").write_bytes(clean)
+        code, message = matrix_outcome(tmp / "e.csv")
+        stderr = io.StringIO()
+        with mock.patch.multiple(csvio, _PIECE_CELLS=read_cells, _SLICE_CELLS=run_cells), \
+                mock.patch.object(csvio, "open", tracked_open, create=True), \
+                contextlib.redirect_stderr(stderr):
+            got = run(["diagnose", "--in", tmp / "e.csv", *EVERY_DIAGNOSTIC,
+                       "--out-prefix", tmp / "d"])
+        assert (got, stderr.getvalue()) == (code, message), fault
+        assert opened and all(fh.closed for fh in opened)
+        written = outputs(tmp)
+        if code:
+            assert written == {}
+        else:
+            (tmp / "clean").mkdir()
+            assert run(["diagnose", "--in", tmp / "clean.csv", *EVERY_DIAGNOSTIC,
+                        "--out-prefix", tmp / "clean" / "d"]) == 0
+            assert written == outputs(tmp / "clean")
+
+
+def test_a_parse_error_late_in_the_file_comes_before_an_early_diagnostic_error(
+        tmp_path, capsys):
+    lines = ["time,inst_0,inst_1"] + [f"{0.25 * r!r},1.5,2.5" for r in range(900)]
+    lines[2] = "0.25,-1.5,2.5"  # line 3: no summary, no growth
+    lines[899] = "224.5,1.5,x"  # line 900
+    path = tmp_path / "e.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.multiple(csvio, _PIECE_CELLS=8, _SLICE_CELLS=4):
+        assert run(["diagnose", "--in", path, *EVERY_DIAGNOSTIC,
+                    "--out-prefix", tmp_path / "d"]) == 2
+    message = f"{path}:900: bad value 'x' in column 'inst_1'"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["e.csv"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from stokit import (DEFAULT_FAN_LEVELS, Brownian, DomainError, Ensemble,
                     distance_to_asymptote, estimate_asymptote, growth_rates,
                     preasymptotic_report, quantile_fan, rolling_fluctuation,
                     sample_gaussian, simulate, substream, summary_curves)
+from stokit.diagnostics import _TimeRowStats
 
 
 def make_ensemble(values, dt=1.0):
@@ -64,6 +65,9 @@ class TestQuantileFan:
             quantile_fan(ens, levels=())
         with pytest.raises(SizeError):
             quantile_fan(make_ensemble(np.ones((1, 3))))
+        for statistic in (quantile_fan, summary_curves, growth_rates):
+            with pytest.raises(SizeError):
+                statistic(make_ensemble(np.ones((0, 3))))
 
 
 def ensemble_values(elements):
@@ -138,6 +142,66 @@ def test_fan_and_median_do_not_call_numpy_selection(monkeypatch):
     monkeypatch.setattr(np, "median", refuse)
     assert_numpy_bits(quantile_fan(make_ensemble(values)).curves, want_fan, values)
     assert_numpy_bits(summary_curves(make_ensemble(values)).median, want_median, values)
+
+
+@st.composite
+def streamed_ensembles(draw):
+    """1-12 instances x 2-6 timepoints: ties, 0.0 and -0.0 from rounding,
+    and maybe inf, NaN and signed zero cells; positive when drawn so."""
+    n_instances, n_times = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((n_instances, n_times))
+    if draw(st.booleans()):
+        values = np.round(values)
+    if draw(st.booleans()):
+        values = np.abs(values) + 0.5
+    for _ in range(draw(st.integers(0, 3))):
+        cell = rng.integers(n_instances), rng.integers(n_times)
+        values[cell] = draw(st.sampled_from([-0.0, 0.0, np.inf, np.nan]))
+    return values
+
+
+@given(streamed_ensembles(),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                | st.sampled_from(DEFAULT_FAN_LEVELS), min_size=1, max_size=4, unique=True),
+       st.integers(1, 7))
+def test_streamed_statistics_are_the_matrix_formulas(values, levels, block):
+    """Fed as blocks of time rows of any size (as `diagnose --in` feeds
+    them) or as a matrix (as the library and inline runs feed it), the
+    statistics give the bits of the matrix formulas: np.quantile's "linear"
+    fan, np.median, mean over axis 0, exp of the mean of logs, and the first
+    and last columns."""
+    levels = tuple(sorted(levels))
+    streamed = _TimeRowStats(levels, summary=True, growth=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for lo in range(0, values.shape[1], block):
+            streamed.add(values.T[lo:lo + block].copy())
+        whole = _TimeRowStats(levels, summary=True, growth=True).add_matrix(values)
+        want_fan = np.quantile(values, levels, axis=0, method="linear")
+        want_median = np.median(values, axis=0)
+        want_geometric = np.exp(np.log(values).mean(axis=0))
+    n = values.shape[0]
+    for stats in (streamed, whole):
+        assert (stats.joined("sums") / n).tobytes() == values.mean(axis=0).tobytes()
+        assert_numpy_bits(stats.joined("median"), want_median, values)
+        assert stats.first.tobytes() == values[:, 0].tobytes()
+        assert stats.last.tobytes() == values[:, -1].tobytes()
+        assert stats.joined("inst_0").tobytes() == values[0].tobytes()
+        if n < 2:
+            with pytest.raises(SizeError):
+                stats.fan()
+        else:
+            assert_numpy_bits(stats.fan().curves, want_fan, values)
+        if np.any(values <= 0.0):
+            with pytest.raises(PositivityError):
+                stats.summary_curves()
+            with pytest.raises(PositivityError):
+                stats.growth_rates(1.0)
+        else:
+            summary = stats.summary_curves()
+            assert summary.arithmetic_mean.tobytes() == values.mean(axis=0).tobytes()
+            assert summary.geometric_mean.tobytes() == want_geometric.tobytes()
+            assert_numpy_bits(summary.median, want_median, values)
 
 
 class TestSummaryCurves:

@@ -80,6 +80,45 @@ def test_samplers_consume_two_slots_per_variate(name, seed, ids, n):
     assert after.tobytes() == fresh.tobytes()
 
 
+def strided_gaussian(u):
+    """Box-Muller on the uniforms ``u`` of 2n slots, read at stride 2."""
+    return np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
+
+
+def strided_stable(u, alpha, beta):
+    """Chambers-Mallows-Stuck on the uniforms ``u`` of 2n slots, read at
+    stride 2, for an alpha other than 1."""
+    angle = np.pi * (u[..., 0::2] - 0.5)
+    expo = -np.log(u[..., 1::2])
+    skew = beta * np.tan(0.5 * np.pi * alpha)
+    turned = alpha * (angle + np.arctan(skew) / alpha)
+    return ((1.0 + skew * skew) ** (0.5 / alpha) * np.sin(turned)
+            / np.cos(angle) ** (1.0 / alpha)
+            * (np.cos(angle - turned) / expo) ** ((1.0 - alpha) / alpha))
+
+
+@pytest.mark.parametrize("ids", [5, [0, 3, 2**64 - 1]])
+@pytest.mark.parametrize("counter", [0, 1, 2**32 + 1, 2**63])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_two_slot_draws_are_the_strided_slots(ids, counter, n):
+    """The samplers' two contiguous halves hold the uniforms of slots
+    ``counter + 2k`` and ``counter + 2k + 1``, bit for bit, at even and odd
+    start counters, and the variates are arrays of their own."""
+    stream_id = np.array(ids, dtype=np.uint64) if isinstance(ids, list) else ids
+    u = RngStream(7, stream_id, counter).uniforms(2 * n)
+    stream = RngStream(7, stream_id, counter)
+    even, odd = stream._uniform_pairs(n)
+    assert stream.counter == counter + 2 * n
+    assert even.flags.c_contiguous and odd.flags.c_contiguous
+    assert even.tobytes() == u[..., 0::2].tobytes()
+    assert odd.tobytes() == u[..., 1::2].tobytes()
+    gaussian = sample_gaussian(RngStream(7, stream_id, counter), n)
+    stable = sample_stable(RngStream(7, stream_id, counter), 1.5, 0.7, n)
+    assert gaussian.tobytes() == strided_gaussian(u).tobytes()
+    assert stable.tobytes() == strided_stable(u, 1.5, 0.7).tobytes()
+    assert gaussian.base is None and stable.base is None
+
+
 def test_block_stream_ids_validated():
     for ids in ([-1, 2], [0.5, 1.0], [[0, 1]]):
         with pytest.raises(DomainError):
