@@ -161,7 +161,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                 raise DomainError(f"--{flag} is required when simulating inline")
         ensemble = simulate(spec, args.t, args.dt, args.n, args.seed,
                             workers=args.workers)
-        stats.add_matrix(ensemble.values)
+        stats.add(ensemble.values.T)
         grid = ensemble.grid
     times = grid.times
 

@@ -32,17 +32,15 @@ numpy's ``loadtxt`` rule: a cell stripped of whitespace must be ASCII, have no
 Tables are written in pieces of whole rows of about `_PIECE_CELLS` cells,
 formatted `_SLICE_CELLS` cells at a time (~90 bytes of temporaries per cell).
 They are read in pieces of whole lines of about ``_PIECE_CELLS * _WINDOW``
-bytes (1.5 MB) into one buffer, and decoded once, in kernel runs of about
+bytes (1.5 MB) into one buffer and decoded once, in kernel runs of about
 ``_SLICE_CELLS * _WINDOW`` bytes (384 KB of lines, some 2**14 to 2**15 cells
-at ~70 bytes of temporaries each, which stay in a 2 MB L2 cache).  A run's
-rows are a piece of time rows: a time-major (rows x instances) float64 block.
-`read_ensemble_rows` hands each piece to a consumer and holds no ensemble
-array; `read_ensemble_csv` first counts the rows from their line-end bytes,
-so that its array is allocated once, and copies each piece into it.  So the
-memory beyond a table's own arrays is one piece and one run, not the file's
-text.  Every CSV file, the figure CSVs included, is written by `write_csv`;
-files and strings are read by one UTF-8 byte reader, so parsing a string
-holds about its UTF-8 bytes and one piece.
+at ~70 bytes of temporaries each, which stay in a 2 MB L2 cache), each a
+time-major block of rows.  `read_ensemble_rows` hands the blocks on;
+`read_ensemble_csv` first counts the rows from their line-end bytes, so that
+its array is allocated once.  So the memory beyond a table's own arrays is
+one piece and one run, not the file's text.  Every CSV file, the figure CSVs
+included, is written by `write_csv`; files and strings are read by one UTF-8
+byte reader, so parsing a string holds about its UTF-8 bytes and one piece.
 """
 
 from __future__ import annotations
@@ -609,7 +607,6 @@ def read_ensemble_csv(path) -> Ensemble:
 
 
 def read_ensemble_rows(path, take) -> TimeGrid:
-    """Stream the file ``path`` as `read_ensemble_csv` reads it, holding no
-    ensemble array: ``take`` gets its blocks of time rows (see `_time_rows`),
-    and its grid is returned.  A faulty row raises when it is reached."""
+    """Stream the file ``path`` to ``take`` as blocks of time rows (see
+    `_time_rows`), holding no ensemble array; return its grid."""
     return _time_rows(lambda: _pieces(functools.partial(open, path, "rb")), str(path), take)

@@ -1,10 +1,9 @@
 """Ensemble and trajectory statistics: quantile fans, summary curves,
 time- vs ensemble-average growth rates, and preasymptotic measures.
 
-All functions are pure; none mutate their inputs.  The fan, the summaries
-and the growth rates come from blocks of time rows (one row per time point):
-`diagnose --in` streams them from the CSV reader, while inline runs and the
-library functions feed a copy of ``values.T``, through the same code.
+All functions are pure; none mutate their inputs.  `diagnose --in` streams
+a file's time rows into the fan, summary and growth code; the rest feed it
+``values.T``.
 """
 
 from __future__ import annotations
@@ -72,58 +71,47 @@ def _check_options(levels=None, tail_fraction=None, window=None):
     return levels
 
 
+def _column_sums(columns: np.ndarray) -> np.ndarray:
+    """Column sums of the C-ordered ``columns``, adding its rows in turn as
+    ``values.mean(axis=0)`` does.  numpy sums one contiguous column pairwise,
+    so that one takes its running sum (+ 0.0, as numpy's sum of -0.0s)."""
+    if columns.shape[1] == 1:
+        return np.cumsum(columns[:, 0])[-1:] + 0.0
+    return np.add.reduce(columns, axis=0)
+
+
 class _TimeRowStats:
-    """Per-time-point statistics of an ensemble fed in time order, as blocks
-    of time rows ((times x instances) arrays that `add` may sort in place) or
-    as a whole matrix: ``inst_0``, the first and last rows, and as asked for,
-    the fan at ``levels`` (None: no fan), the `SummaryCurves` (``summary``),
-    and the positivity that `GrowthRates` needs (``growth``).  Means sum each
-    time point's values one instance after another, in the order of
-    ``values.mean(axis=0)``; each block of time rows is sorted once for both
-    the fan and the median.  Errors are raised when a result is asked for."""
+    """Per-time-point statistics of an ensemble fed in time order as blocks of
+    time rows ((times x instances) arrays, left unchanged): ``inst_0``, and as
+    asked for, the fan at ``levels``, the `SummaryCurves` (``summary``) and
+    the `GrowthRates` (``growth``).  Errors are raised when a result is asked for."""
 
     def __init__(self, levels=None, summary=False, growth=False):
         self.levels, self.summary, self.growth = levels, summary, growth
         self.parts = {"fan": [], "median": [], "sums": [], "log_sums": [], "inst_0": []}
         self.n, self.nonpositive, self.first, self.last = 0, False, None, None
 
-    def add(self, rows: np.ndarray) -> None:
-        """Take the next block of time rows, sorting its rows if need be."""
-        # a row's cumsum adds 0.0 + x_0 + x_1 + ..., as numpy's reduction does
-        self._add_columns(rows.T, lambda columns: np.cumsum(columns, axis=0)[-1] + 0.0)
-        self._add_sorted(rows)
-
-    def add_matrix(self, values: np.ndarray) -> _TimeRowStats:
-        """Feed the (instances x times) ``values``, unchanged: its columns,
-        then a time-major copy as one block of time rows."""
-        if not values.shape[0]:
+    def add(self, rows: np.ndarray) -> _TimeRowStats:
+        """Take the next block of time rows: a piece of a file, or
+        ``values.T`` of a whole (instances x times) matrix."""
+        self.n = rows.shape[1]
+        if not self.n:
             raise SizeError("an ensemble needs at least 1 instance")
-        self._add_columns(values, lambda columns: np.add.reduce(columns, axis=0))
-        if self.levels is not None or self.summary:
-            self._add_sorted(values.T.copy())
-        return self
-
-    def _add_columns(self, columns: np.ndarray, column_sums) -> None:
-        """``inst_0``, the ends, the signs and the sums of (instances x
-        times) ``columns``, whose sums ``column_sums`` takes."""
-        self.n = len(columns)
-        self.parts["inst_0"].append(columns[0].copy())
+        self.parts["inst_0"].append(rows[:, 0].copy())
         if self.growth:
-            self.first = columns[:, 0].copy() if self.first is None else self.first
-            self.last = columns[:, -1].copy()
+            self.first = rows[0].copy() if self.first is None else self.first
+            self.last = rows[-1].copy()
         if self.summary or self.growth:
-            self.nonpositive = self.nonpositive or bool((columns <= 0.0).any())
+            self.nonpositive = self.nonpositive or bool((rows <= 0.0).any())
         if self.summary:
-            self.parts["sums"].append(column_sums(columns))
+            columns = np.ascontiguousarray(rows.T)  # no copy of a matrix's values.T
+            self.parts["sums"].append(_column_sums(columns))
             if not self.nonpositive:
-                self.parts["log_sums"].append(column_sums(np.log(columns)))
-
-    def _add_sorted(self, rows: np.ndarray) -> None:
-        """The fan and the median of time rows ``rows``, sorted in place."""
+                self.parts["log_sums"].append(_column_sums(np.log(columns)))
         if self.levels is None and not self.summary:
-            return
-        n = rows.shape[1]
-        rows.sort(axis=1)  # NaNs last
+            return self
+        n, rows = self.n, rows.copy()  # time-major, each row contiguous
+        rows.sort(axis=1)  # once for the fan and the median; NaNs last
         nan = np.isnan(rows[:, -1])
         if self.levels is not None:  # np.quantile's "linear" arithmetic
             virtual = (n - 1) * np.array(self.levels)
@@ -140,6 +128,7 @@ class _TimeRowStats:
             median = rows[:, (n - 1) // 2:n // 2 + 1].mean(axis=1)
             np.copyto(median, rows[:, -1], where=nan)
             self.parts["median"].append(median)
+        return self
 
     def joined(self, name: str) -> np.ndarray:  # one of `parts`, over every time
         return np.concatenate(self.parts[name], axis=-1)
@@ -174,7 +163,7 @@ def quantile_fan(ensemble: Ensemble, levels=DEFAULT_FAN_LEVELS) -> QuantileFan:
     levels = _check_options(levels=levels)
     if ensemble.num_instances < 2:
         raise SizeError("quantile fan needs at least 2 instances")
-    return _TimeRowStats(levels=levels).add_matrix(ensemble.values).fan()
+    return _TimeRowStats(levels=levels).add(ensemble.values.T).fan()
 
 
 def summary_curves(ensemble: Ensemble) -> SummaryCurves:
@@ -185,11 +174,11 @@ def summary_curves(ensemble: Ensemble) -> SummaryCurves:
     geometric mean is exp(mean of logs) and requires strictly positive
     values everywhere.
     """
-    return _TimeRowStats(summary=True).add_matrix(ensemble.values).summary_curves()
+    return _TimeRowStats(summary=True).add(ensemble.values.T).summary_curves()
 
 
 def growth_rates(ensemble: Ensemble) -> GrowthRates:
-    stats = _TimeRowStats(growth=True).add_matrix(ensemble.values)
+    stats = _TimeRowStats(growth=True).add(ensemble.values.T)
     return stats.growth_rates(ensemble.grid.horizon)
 
 

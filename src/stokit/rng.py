@@ -120,29 +120,27 @@ class RngStream:
         return (f"RngStream(seed={self.seed}, stream_id={self.stream_id}, "
                 f"counter={self.counter})")
 
+    def _slot_words(self, n: int, lanes: int) -> np.ndarray:
+        """Mixed raw words of the next ``lanes * n`` slots, as one (lanes,
+        *streams, n) buffer whose lane j holds slots ``counter + lanes*k + j``,
+        k < n; advances the counter by lanes * n."""
+        slots = np.arange(self.counter, self.counter + lanes * n, lanes, dtype=np.uint64)
+        self.counter += lanes * n
+        z = np.empty((lanes, *np.shape(self._base), n), np.uint64)
+        np.add(self._base[..., None], slots * _GOLDEN_U, out=z[0])
+        for j in range(1, lanes):
+            np.add(z[j - 1], _GOLDEN_U, out=z[j])  # the next slot: + gamma, mod 2**64
+        return _mix64_array(z)
+
     def _words(self, n: int) -> np.ndarray:
         """Next n raw 64-bit words; advances the counter by n."""
-        ctr = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        self.counter += n
-        return _mix64_array(self._base[..., None] + ctr * _GOLDEN_U)
+        return self._slot_words(n, 1)[0]
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms on the open interval (0, 1); one counter slot each."""
         if n < 0:
             raise SizeError(f"sample count must be >= 0, got {n}")
         return _to_uniforms(self._words(n))
-
-    def _uniform_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The uniforms of slots ``counter + 2k`` and ``counter + 2k + 1``,
-        k < n, as two contiguous halves of one buffer; advances the counter
-        by 2n."""
-        even = np.arange(self.counter, self.counter + 2 * n, 2, dtype=np.uint64)
-        self.counter += 2 * n
-        z = np.empty((2, *np.shape(self._base), n), np.uint64)
-        np.add(self._base[..., None], even * _GOLDEN_U, out=z[0])
-        np.add(z[0], _GOLDEN_U, out=z[1])  # (slot + 1) * gamma, mod 2**64
-        u = _to_uniforms(_mix64_array(z))
-        return u[0], u[1]
 
 
 def substream(seed: int, stream_id) -> RngStream:
@@ -153,7 +151,7 @@ def substream(seed: int, stream_id) -> RngStream:
 
 def sample_gaussian(stream: RngStream, n: int) -> np.ndarray:
     """n independent standard-normal variates (Box-Muller, cosine branch)."""
-    u, v = stream._uniform_pairs(_checked_count(n))
+    u, v = _to_uniforms(stream._slot_words(_checked_count(n), 2))  # two halves
     np.sqrt(np.multiply(np.log(u, out=u), -2.0, out=u), out=u)
     return u * np.cos(np.multiply(v, 2.0 * np.pi, out=v), out=v)  # a new array
 
@@ -168,7 +166,7 @@ def sample_stable(stream: RngStream, alpha: float, beta: float, n: int) -> np.nd
     refused: it is the S1 parameterization's pole.
     """
     _check_stable_shape(alpha, beta)
-    angle, expo = stream._uniform_pairs(_checked_count(n))
+    angle, expo = _to_uniforms(stream._slot_words(_checked_count(n), 2))
     np.multiply(np.subtract(angle, 0.5, out=angle), np.pi, out=angle)  # on (-pi/2, pi/2)
     np.negative(np.log(expo, out=expo), out=expo)                      # exponential(1)
     if alpha == 1.0:

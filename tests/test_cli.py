@@ -558,11 +558,11 @@ def traced_diagnose(monkeypatch, argv):
 
 
 def test_csv_io_memory_is_one_piece_not_the_file(tmp_path, monkeypatch):
-    """`simulate --out` adds less than a quarter of the file's size to what
-    the ensemble array itself takes, and a whole `diagnose --in` run (read,
-    diagnostics and outputs) less than a quarter of the file's size: neither
-    holds the file's text or a second full-size table, and `diagnose --in`
-    holds no ensemble array."""
+    """`simulate --out` and `read_ensemble_csv` add less than a quarter of
+    the file's size to what the ensemble array itself takes, and a whole
+    `diagnose --in` run (read, diagnostics and outputs) less than a quarter
+    of the file's size: none holds the file's text or a second full-size
+    table, and `diagnose --in` holds no ensemble array."""
     monkeypatch.setattr(csvio, "_PIECE_CELLS", 2048)  # 6-row pieces here
     added = {}
 
@@ -581,11 +581,16 @@ def test_csv_io_memory_is_one_piece_not_the_file(tmp_path, monkeypatch):
         assert run(["simulate", "gbm", "--mu", 0.05, "--sigma", 0.2, "--t", 2,
                     "--dt", 0.01, "--n", 300, "--seed", 5, "--out", out]) == 0
         added["write"] = tracemalloc.get_traced_memory()[1] - added["before_write"]
-        added["read"] = traced_diagnose(monkeypatch, diagnose)
+        added["diagnose"] = traced_diagnose(monkeypatch, diagnose)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        values = csvio.read_ensemble_csv(out).values
+        added["read"] = tracemalloc.get_traced_memory()[1] - before - values.nbytes
     finally:
         tracemalloc.stop()
     quarter = out.stat().st_size / 4
     assert added["write"] < quarter
+    assert added["diagnose"] < quarter
     assert added["read"] < quarter
 
 

@@ -172,14 +172,16 @@ def test_streamed_statistics_are_the_matrix_formulas(values, levels, block):
     fan, np.median, mean over axis 0, exp of the mean of logs, and the first
     and last columns."""
     levels = tuple(sorted(levels))
+    original = values.copy()
     streamed = _TimeRowStats(levels, summary=True, growth=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         for lo in range(0, values.shape[1], block):
             streamed.add(values.T[lo:lo + block].copy())
-        whole = _TimeRowStats(levels, summary=True, growth=True).add_matrix(values)
+        whole = _TimeRowStats(levels, summary=True, growth=True).add(values.T)
         want_fan = np.quantile(values, levels, axis=0, method="linear")
         want_median = np.median(values, axis=0)
         want_geometric = np.exp(np.log(values).mean(axis=0))
+    assert values.tobytes() == original.tobytes()  # `add` changes no block it is fed
     n = values.shape[0]
     for stats in (streamed, whole):
         assert (stats.joined("sums") / n).tobytes() == values.mean(axis=0).tobytes()

@@ -6,6 +6,7 @@ from scipy import stats
 
 from stokit import (DomainError, RngStream, sample_gaussian,
                     sample_poisson_events, sample_stable, substream)
+from stokit.rng import _to_uniforms
 
 
 def test_substream_is_pure():
@@ -107,7 +108,7 @@ def test_two_slot_draws_are_the_strided_slots(ids, counter, n):
     stream_id = np.array(ids, dtype=np.uint64) if isinstance(ids, list) else ids
     u = RngStream(7, stream_id, counter).uniforms(2 * n)
     stream = RngStream(7, stream_id, counter)
-    even, odd = stream._uniform_pairs(n)
+    even, odd = _to_uniforms(stream._slot_words(n, 2))
     assert stream.counter == counter + 2 * n
     assert even.flags.c_contiguous and odd.flags.c_contiguous
     assert even.tobytes() == u[..., 0::2].tobytes()
