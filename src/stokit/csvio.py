@@ -7,13 +7,12 @@ reproduces the double bit pattern on parse; text cells as they are.
 Cells are formatted as whole arrays, not one by one.  A finite cell with
 ``1e-4 <= |x| < 1e17`` is in ``%.17g``'s fixed notation (decimal exponent
 -4..16); its 17 digits come from the exact Dekker product ``|x| *
-10**(16 - e)`` rounded half to even, as ``%.17g`` rounds, split into groups
-of 4 digits, and written from a table of the 100 digit pairs.  Each cell's
-bytes are laid into a fixed-width byte matrix, and one pass deletes the unused
-bytes.  Every other cell (0, -0, subnormals, ``|x| < 1e-4``, ``|x| >= 1e17``,
-inf, nan, text, and the empty cells that pad a shorter or empty column) is
-formatted by ``'%.17g' % x`` cell by cell.  The bytes are the same as
-``'%.17g' % x`` for every cell.
+10**(16 - e)`` rounded half to even, as ``%.17g`` rounds, and are laid into a
+24-byte slot by SWAR arithmetic, where one table entry adds the sign, point and
+padding; one pass deletes the padding.  Every other cell (0, -0, subnormals,
+``|x| < 1e-4``, ``|x| >= 1e17``, inf, nan, text, and the empty cells that pad
+a shorter or empty column) is formatted by ``b'%.17g' % x`` cell by cell, or
+encoded if text.  The bytes are the same as ``'%.17g' % x`` for every cell.
 
 Cells are parsed as whole arrays too, from the file's bytes: no line but the
 header is decoded to text.  A cell such as ``%.17g`` writes,
@@ -30,7 +29,7 @@ numpy's ``loadtxt`` rule: a cell stripped of whitespace must be ASCII, have no
 "_", and be a finite number to ``float()``.
 
 Tables are written in pieces of whole rows of about `_PIECE_CELLS` cells,
-formatted `_SLICE_CELLS` cells at a time (~90 bytes of temporaries per cell).
+formatted `_SLICE_CELLS` cells at a time (~74 bytes of temporaries per cell).
 They are read in pieces of whole lines of about ``_PIECE_CELLS * _WINDOW``
 bytes (1.5 MB) into one buffer and decoded once, in kernel runs of about
 ``_SLICE_CELLS * _WINDOW`` bytes (384 KB of lines, some 2**14 to 2**15 cells
@@ -56,7 +55,7 @@ from .errors import SchemaError
 from .processes import Ensemble, TimeGrid
 
 _PIECE_CELLS = 2 ** 16  # cells in one piece of rows: 512 KB of float64
-_SLICE_CELLS = 2 ** 14  # cells formatted at once: ~90 bytes of temporaries each
+_SLICE_CELLS = 2 ** 14  # cells formatted at once: ~74 bytes of temporaries each
 _WINDOW = 24  # bytes of a cell's number before its exponent that the parse reads
 
 
@@ -85,44 +84,30 @@ def _scaled(a, e):
     return hi, np.subtract(np.multiply(a_lo, p_lo, out=a_lo), lo, out=lo)
 
 
-# A fixed-notation cell is laid into five 8-byte words: its sign, the "0.000"
-# that leads e < 0, its leading digit and a point slot, then the other 16
-# digits in four groups of four, each digit followed by a point slot; the last
-# slot holds the separator.  A negative cell's digits carry its sign as an
-# 18th digit (1), whose word from `_LEAD` writes "-"; a positive cell's drops
-# that byte.  Which other bytes a cell drops depends only on its decimal
-# exponent e (-4..16) and the place of its last nonzero digit (0..16).  A
-# dropped byte is set to 0xFF, which no UTF-8 text contains, and deleted at the
-# end.
-_LEAD = np.frombuffer(b"".join(b"%c0.000%d." % (sign, d) for sign in b"\xff-"
-                               for d in range(10)), np.uint64)
-# `_PAIRS[0, p]` and `_PAIRS[1, p]`: the low and the high half of a word
-# holding "d.d." of the two digits p, 0..99.
-_PAIRS = np.frombuffer(b"".join(b"%c.%c." % tuple(b"%02d" % p) for p in range(100)),
-                       np.uint32).astype(np.uint64) << np.uint64([[0], [32]])
-
-
+# A fixed-notation cell is laid into a slot of three 8-byte words: its 17
+# digits D0..D16, as bytes 0-9, at bytes 6..22 and its separator at byte 23.
+# For a decimal exponent e in 0..15, D0..De move one byte down, which opens
+# byte 6 + e for the point.  Then a column of `_tables`' ``fill``, which
+# depends only on e (-4..16), the place of the last nonzero digit (0..16) and
+# the sign, is ORed in: "0" over each digit kept, the "-", the "0.000" that
+# leads e < 0, the point, and 0xFF over every other byte.  0xFF, which no UTF-8
+# text contains, is deleted at the end; in a slot it lies in a run at each end.
 @functools.cache
 def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """``(place, drop)``, built on first use, so that runs which write no CSV
-    do not hold them.  ``place[g]`` is the place (1..4) of the last nonzero
-    digit of the group of four digits g, 1..9999, and -16 for g = 0, so that
-    it stays below 0 when a group's offset (0..12) is added.  ``drop[(e + 4) *
-    17 + last]`` has 0xFF in each byte of the five words that a cell with
-    decimal exponent e and last nonzero digit at place ``last`` does not
-    write."""
-    place = np.full(10000, 4, np.int8)
-    place[::10], place[::100], place[::1000], place[0] = 3, 2, 1, -16
-    e, last = np.ogrid[-4:17, 0:17]
-    keep = np.zeros((21, 17, 40), bool)
-    keep[..., 1:6] = np.arange(5) < np.where(e < 0, 1 - e, 0)[..., None]
-    keep[..., 6::2] = np.arange(17) <= np.maximum(e, last)[..., None]
-    keep[..., 7::2] = np.arange(17) == np.where(last > e, e, -1)[..., None]
-    keep[..., 0] = keep[..., -1] = True
-    return place, (np.uint8(0xFF) * ~keep).reshape(-1, 40).view(np.uint64)
-
-
-_FILL = np.uint64(2 ** 64 - 1)  # a word of dropped bytes
+    """``(move, fill)``, built on first use, so that runs which write no CSV
+    do not hold them.  Row k is word k of a slot, and column ``((e + 4) * 17
+    + last) * 2 + negative`` has 0xFF in each byte that moves (``move``), or
+    the bytes ORed in (``fill``)."""
+    e, last, negative, byte = np.ogrid[-4:17, :17, :2, :24]
+    first = 5 + np.minimum(e, 0) + (e == 16)  # the first byte written
+    fill = np.where((byte >= first) & (byte <= 6 + np.maximum(e, last)), ord("0"), 0xFF)
+    fill = np.where(negative & (byte == first - 1), ord("-"), fill)
+    point = np.where((e < 0) | (last > e), ord("."), 0xFF)
+    fill = np.where((byte == 6 + e) & (e < 16), point, fill)
+    fill[..., 23] = 0
+    move = 0xFF * np.broadcast_to((byte >= 6) & (byte <= 6 + e) & (e < 16), fill.shape)
+    return tuple(np.ascontiguousarray(t.astype(np.uint8).reshape(-1, 24).view(np.uint64).T)
+                 for t in (move, fill))
 
 
 def _seventeen_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,59 +131,74 @@ def _seventeen_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e.astype(np.int8), d
 
 
-def _digit_words(d: np.ndarray, cells: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """Write the 17 digits ``d`` (consumed), plus 10**17 for a negative cell,
-    into the last five words of ``cells``; return the place of each one's last
-    nonzero digit, from `_tables`' ``place``."""
-    high = d // 10 ** 8
-    d -= high * 10 ** 8
-    lead = high // 10 ** 8
-    cells[:, -5] = _LEAD.take(lead)
-    high -= lead * 10 ** 8
-    del lead
-    last = np.zeros(d.size, np.int8)
-    for k, half in enumerate((high, d)):
-        group = half // 10 ** 4
-        half -= group * 10 ** 4
-        for j, g in enumerate((group, half), 2 * k):
-            np.maximum(last, place.take(g) + np.int8(4 * j), out=last)
-            pair = g // 100
-            g -= pair * 100
-            pair = _PAIRS[0].take(pair)  # drops the index before the next lookup
-            np.bitwise_or(pair, _PAIRS[1].take(g), out=cells[:, j - 4])
-    return last
+def _slots(e: np.ndarray, d: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """The slots of the cells with decimal exponents ``e``, 17 digits ``d``
+    (consumed) and signs ``negative``, as a (3, n) uint64 array: row k holds
+    word k of each slot, with 0 for the separator."""
+    move, fill = _tables()
+    n, d = d.size, d.view(np.uint64)
+    w = np.empty((3, n), np.uint64)
+    np.floor_divide(d, 10 ** 8, out=w[1])  # D1..D8 in w[1], D9..D16 in w[2], D0 in d
+    np.subtract(d, w[1] * 10 ** 8, out=w[2])
+    np.floor_divide(w[1], 10 ** 8, out=d)
+    w[1] -= d * 10 ** 8
+    # SWAR, first digit lowest: 4 + 4 digits in 32-bit lanes, 2 + 2 in 16-bit
+    # lanes, then one a byte.  In a lane, q = v * ceil(2**down / m) >> down is
+    # v // m, and (v << s) - q * ((m << s) - 1) puts q low and v % m s bits up.
+    halves, q = w[1:].reshape(-1), np.empty(2 * n, np.uint64)
+    for down, mask, m, s in ((40, None, 10 ** 4, 32), (20, 0x7F0000007F, 100, 16),
+                             (10, 0x000F000F000F000F, 10, 8)):
+        np.right_shift(np.multiply(halves, -(-2 ** down // m), out=q), down, out=q)
+        if mask:
+            q &= mask
+        halves <<= s
+        halves -= np.multiply(q, (m << s) - 1, out=q)
+    # The column of `_tables`.  A half's last nonzero digit is its highest
+    # nonzero byte j, whose float exponent is 8 * j + 0..3; a zero half's is 0.
+    top = np.right_shift(halves.astype(np.float64).view(np.int64), 52, out=q.view(np.int64))
+    code = np.maximum(np.maximum(top[:n], top[n:] + 64), 1015) - 1015 >> 3  # last: 0..16
+    del top, q
+    code = (e * np.int64(17) + code + 68 << 1) + negative
+    np.bitwise_or(d << 48, w[1] << 56, out=w[0])  # D0..D16 at bytes 6..22
+    w[1] >>= 8
+    w[1] |= w[2] << 56
+    w[2] >>= 8
+    z = np.take(move, code, axis=1, mode="clip")
+    z &= w  # D0..De, which move one byte down
+    w ^= z
+    for k in range(2):
+        w[k] |= np.left_shift(z[k + 1], 56, out=d)
+    z >>= 8
+    w |= z
+    w |= np.take(fill, code, axis=1, out=z, mode="clip")
+    return w
 
 
 def _render(x: np.ndarray, seps: np.ndarray, words) -> bytearray:
     """The bytes of the cells ``x``, each as ``'%.17g' % x`` followed by its
     separator byte from ``seps``.  A cell whose entry in the object array
     ``words`` (or None) is a str is that text instead."""
-    place, drop = _tables()  # built, once, before this slice's arrays
     a = np.abs(x)
     other = np.flatnonzero(~((a >= 1e-4) & (a < 1e17)))  # nan is one
     a[other] = 1.0
-    e, d = _seventeen_digits(a)
-    del a
-    d += 10 ** 17 * (x < 0)
-    texts = ["%.17g" % v for v in x[other].tolist()]
+    w = _slots(*_seventeen_digits(a), x < 0)
+    texts = [b"%.17g" % v for v in x[other].tolist()]
     if words is not None:
-        texts = [t if w is None else w for t, w in zip(texts, words[other].tolist())]
-    data = [text.encode("utf-8") for text in texts]
-    width = max(5, max(map(len, data), default=0) // 8 + 1)  # words per cell
-    out = bytearray(8 * width * x.size)
+        texts = [t if word is None else word.encode("utf-8")
+                 for t, word in zip(texts, words[other].tolist())]
+    width = max(3, max(map(len, texts), default=0) // 8 + 1)  # words per cell
+    out = bytearray(b"\xff") * (8 * width * x.size)
     cells = np.frombuffer(out, np.uint64).reshape(x.size, width)
-    cells[:, :-5] = _FILL
-    code = _digit_words(d, cells, place) + 17 * (e.astype(np.intp) + 4)
-    del e, d  # before the gather's temporary, as wide as `cells`
-    cells[:, -5:] |= drop.take(code, axis=0)
-    if data:  # right-aligned against the separator
-        cells[other] = _FILL
-        lengths = np.array([len(b) for b in data])
+    for k in range(3):
+        cells[:, k - 3] = w[k]
+    del w
+    if texts:  # right-aligned against the separator
+        cells[other] = ~np.uint64(0)
+        lengths = np.array([len(b) for b in texts])
         ends = (other + 1) * (8 * width) - 1
         at = np.arange(lengths.sum()) + np.repeat(ends - np.cumsum(lengths), lengths)
-        np.frombuffer(out, np.uint8)[at] = np.frombuffer(b"".join(data), np.uint8)
+        np.frombuffer(out, np.uint8)[at] = np.frombuffer(b"".join(texts), np.uint8)
     cells.view(np.uint8)[:, -1] = seps
-    del code, cells  # translate takes a second buffer as long as `out`
     return out.translate(None, b"\xff")
 
 

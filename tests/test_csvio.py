@@ -509,12 +509,10 @@ def percent_17g_of_digits(d, e, negative):
 
 def laid_out(d, e, negative):
     """The text that the render kernel lays out for 17 digits ``d`` at decimal
-    exponent ``e``: pair words, the place table and one drop-mask gather."""
-    place, drop = csvio._tables()
-    cells = np.zeros((len(d), 5), np.uint64)
-    signed = np.array(d, np.int64) + 10 ** 17 * np.array(negative)
-    code = csvio._digit_words(signed, cells, place) + 17 * (np.array(e) + 4)
-    cells |= drop.take(code, axis=0)
+    exponent ``e``: SWAR digit bytes, the move of D0..De and one fill gather
+    into 24-byte slots."""
+    slots = csvio._slots(np.array(e, np.int8), np.array(d, np.int64), np.array(negative))
+    cells = np.ascontiguousarray(slots.T)
     cells.view(np.uint8)[:, -1] = ord("\n")
     return cells.tobytes().translate(None, b"\xff").decode().splitlines()
 
@@ -558,6 +556,53 @@ def test_digit_reference_is_percent_17g_on_exact_doubles():
                         (dyadic, [percent_17g_of_digits(d, 0, False) for d in digits])]:
         assert render_csv(["x"], [cells]) == per_cell(["x"], [cells]) == "\n".join(
             ["x", *want, ""])
+
+
+def bulk_doubles():
+    """2**17 seeded bit patterns as doubles (all classes, nearly all of them
+    outside fixed notation); the top 53 bits of 2**13 of them as magnitudes
+    ``1 <= m < 10``, scaled into each decade 1e-4..1e16; the powers of ten
+    1e-5..1e17 and their two neighbours; 0, inf and nan; then all negated."""
+    bits = np.frombuffer(np.random.default_rng(2026).bytes(8 * 2 ** 17), np.uint64)
+    magnitudes = 1 + 9 * ((bits[:2 ** 13] >> 11) * 2.0 ** -53)
+    decades = np.outer(10.0 ** np.arange(-4, 17), magnitudes).ravel()
+    powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    x = np.concatenate([bits.view(np.float64), decades, powers, np.nextafter(powers, 0),
+                        np.nextafter(powers, np.inf), [0.0, np.inf, np.nan]])
+    return np.concatenate([x, -x])
+
+
+@pytest.mark.parametrize("sizes", [{}, {"_PIECE_CELLS": 5000, "_SLICE_CELLS": 777}])
+def test_bulk_doubles_write_as_percent_17g(tmp_path, sizes):
+    """`write_csv` in pieces and slices, default or small, writes every line
+    of a column of `bulk_doubles` as ``'%.17g' % x``."""
+    x, path = bulk_doubles(), tmp_path / "x.csv"
+    with mock.patch.multiple(csvio, **sizes) if sizes else contextlib.nullcontext():
+        write_csv(path, ["x"], [x])
+    with open(path, "rb") as fh:
+        assert next(fh) == b"x\n"
+        for chunk in np.array_split(x, 8):
+            want = [("%.17g\n" % v).encode() for v in chunk.tolist()]
+            assert [next(fh) for _ in chunk] == want
+        assert fh.read() == b""
+
+
+def test_render_temporaries_stay_under_90_bytes_a_cell():
+    """One `_render` of 2**14 fixed-notation cells of both signs holds at most
+    90 bytes a cell beyond its input, its output included."""
+    rng = np.random.default_rng(14)
+    x = rng.lognormal(0.0, 6.0, 2 ** 14) * rng.choice([-1.0, 1.0], 2 ** 14)
+    x = x[(np.abs(x) >= 1e-4) & (np.abs(x) < 1e17)]
+    x = np.resize(x, 2 ** 14)
+    seps = np.full(x.size, ord(","), np.uint8)
+    csvio._render(x, seps, None)  # builds the tables
+    tracemalloc.start()
+    try:
+        csvio._render(x, seps, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * x.size
 
 
 # --- whole-array parsing against loadtxt ----------------------------------------
