@@ -15,7 +15,11 @@ steps' factors is tiled across the fractions in one buffer, scaled and shifted
 in place (the two roundings of ``f * r + (1 - f)``), logged and summed down
 the steps into each path's floored log wealth.  Only the columns that fall
 below the ruin floor in a block are walked again step by step, by Lindley's
-reflected walk; a score has the same bits alone or in any batch.
+reflected walk; a score has the same bits alone or in any batch.  A bound
+from each path's least and greatest factor skips the work that cannot
+matter: the clamp of non-positive mixes where no mix is non-positive, and
+the partial sums, floor scan and walk of a block in which no column can
+reach the floor, which is summed by one reduce down its steps instead.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ _LOG_FLOOR = math.log(WEALTH_FLOOR)
 _TINY = np.nextafter(0.0, 1.0)  # smallest subnormal; log is -744.4
 _BLOCK = 1 << 17  # log-mix values per block of steps in `_score`
 _ROW_ADDS = 256  # from this many columns `_score` adds rows, not a cumsum
+_SLACK = 2.0 ** -44  # relative margin of `_score`'s no-floor test
 
 _PATH_SALT = 0x70617468
 _MUTATION_SALT = 0x6D757461
@@ -54,11 +59,17 @@ class GenerationStat(NamedTuple):
     best_fitness: float
 
 
+def _check_fraction(fraction: float) -> None:
+    if not math.isfinite(fraction):
+        raise DomainError(f"fraction must be finite, got {fraction}")
+
+
 def growth_from_factors(fraction: float, factors: np.ndarray, dt: float
                         ) -> GrowthEval:
     """Time-average log growth of leveraged wealth given per-step gross
     factors of the risky process (paths x steps), with wealth floored at
     WEALTH_FLOOR; a zero or negative mix ``1 - f + f * r`` ruins the step."""
+    _check_fraction(fraction)
     if factors.ndim != 2 or 0 in factors.shape:
         raise SizeError(f"factors must be paths x steps, both >= 1; "
                         f"got shape {factors.shape}")
@@ -85,10 +96,28 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
     from the same log mix, one step at a time by Lindley's ``w = max(w + x,
     log floor)``: a floored score is the exact per-step walk, whatever the
     block split.
+
+    Most blocks provably stay above the floor, and take a shorter route with
+    the same bits.  Each column's least mix, the lesser of the mixes of its
+    path's least and greatest factor, bounds every mix of the column: both
+    roundings are monotone in ``r``, for either sign of ``f``.  Where every
+    least mix is > 0, the clamp does nothing and is skipped.  A block of two
+    or more columns whose wealth, less ``steps x`` the log of the least mix
+    (or 0 if that is more), stays clear of the floor by more than the
+    rounding of that many logs and adds can floor no column
+    (`_clear_of_floor`); it is summed by one ``np.add.reduce`` down the
+    steps, with no partial sums, floor scan or walk.
     """
     n_paths, n_steps = factors.shape
     horizon = n_steps * dt
     scale, shift = np.repeat(fractions, n_paths), np.repeat(1.0 - fractions, n_paths)
+    ends = np.tile(np.stack([factors.min(axis=1), factors.max(axis=1)]), fractions.size)
+    ends *= scale
+    ends += shift
+    least = np.minimum(ends[0], ends[1])  # NaN where a factor is NaN
+    clamp = not (least > 0.0).all()
+    drop = np.minimum(np.log(np.maximum(least, _TINY)), 0.0)  # <= each log mix, to ulps
+    deepest = -drop.min()
     block = np.empty((min(n_steps, max(1, _BLOCK // shift.size)), shift.size))
     rows = list(block) if shift.size >= _ROW_ADDS else None
     steps = np.empty((len(block), n_paths))  # the block's factors, steps-major
@@ -101,8 +130,14 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
                   steps[:len(part), None, :])
         part *= scale
         part += shift
-        np.log(np.maximum(part, _TINY, out=part), out=part)
+        np.log(np.maximum(part, _TINY, out=part) if clamp else part, out=part)
         part[0] += wealth  # log is never -0.0, so 0 + x is x
+        if shift.size > 1 and _clear_of_floor(wealth, drop, deepest, len(part), low):
+            # numpy reduces a C-ordered block of two or more columns down its
+            # steps by adding its rows in turn, the bits of the row adds and of
+            # cumsum's last row (one column it would sum pairwise)
+            np.add.reduce(part, axis=0, out=wealth)
+            continue
         if rows is None:
             np.cumsum(part, axis=0, out=part)
         else:
@@ -126,6 +161,25 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
             for g, r in zip(growth, ruins.reshape(-1, n_paths).sum(axis=1))]
 
 
+def _clear_of_floor(wealth: np.ndarray, drop: np.ndarray, deepest: float,
+                    n: int, scratch: np.ndarray) -> bool:
+    """Whether no column's sum can reach the floor in a block of ``n`` steps
+    whose log mixes are each at least ``drop`` (<= 0, at least ``-deepest``),
+    to a few ulps of a log that is accurate but not known to be monotone.
+
+    The computed sums are each at least those of ``drop`` added ``n`` times
+    from ``wealth``, since rounded addition is monotone, and these stay
+    within ``2 n u (|wealth| + n deepest)`` of their exact values, ``u =
+    2**-53``; the log's ulps cost at most ``n`` times a few ulps of
+    ``deepest`` more.  The margin, ``2**-44 n (|wealth| + n deepest + |log
+    floor|)``, is at least 16 times both together plus the few roundings of
+    this test.  A NaN anywhere fails the test.
+    """
+    reach = np.add(np.multiply(drop, n, out=scratch), wealth, out=scratch).min()
+    size = np.abs(wealth, out=scratch).max() + n * deepest - _LOG_FLOOR
+    return bool(reach > _LOG_FLOOR + _SLACK * n * size)
+
+
 def _factors(spec: ProcessSpec, horizon: float, dt: float, n_paths: int,
              seed: int) -> np.ndarray:
     """Per-step gross factors of a simulated multiplicative ensemble."""
@@ -142,6 +196,7 @@ def evaluate_growth(fraction: float, spec: ProcessSpec, horizon: float,
 
     Deterministic in (seed, fraction).
     """
+    _check_fraction(fraction)
     factors = _factors(spec, horizon, dt, paths_per_eval, seed)
     return growth_from_factors(fraction, factors, dt)
 

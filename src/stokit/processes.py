@@ -36,6 +36,8 @@ from .rng import (_BUDGET, RngStream, _poisson_slot_block, sample_gaussian,
 from .specs import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
                     LevyStable, OrnsteinUhlenbeck, Poisson, ProcessSpec)
 
+# Bound on a multiplicative path's exponent, so that exp() stays finite and > 0.
+_EXPONENT_CLIP = 700.0
 # Fewest rows in an OU/AOU tile: its time loop makes ~15 numpy calls a step.
 _WIDE = 1 << 10
 
@@ -132,7 +134,7 @@ def _walk(spec: Brownian | GeometricBrownian | LevyStable | GeometricLevy,
     out += line  # the exponent
     # Heavy-tailed jumps can push the exponent past what exp() represents;
     # clip keeps every value finite and strictly positive.
-    np.clip(out, -700.0, 700.0, out=out)
+    np.clip(out, -_EXPONENT_CLIP, _EXPONENT_CLIP, out=out)
     np.exp(out, out=out)
     out *= spec.x0
 
@@ -201,24 +203,36 @@ _KERNELS = (((Brownian, GeometricBrownian, LevyStable, GeometricLevy), _walk),
             (Poisson, _poisson))
 
 
-def _check_scheme(spec: ProcessSpec, dt: float) -> None:
+def _check_scheme(spec: ProcessSpec, grid: TimeGrid) -> None:
+    dt = grid.dt
     if isinstance(spec, OrnsteinUhlenbeck) and spec.theta * dt >= 1.0:
         raise StabilityError(
             f"explicit scheme unstable: theta*dt = {spec.theta * dt:.6g} >= 1")
     if isinstance(spec, AdaptiveOU) and spec.theta_max * dt >= 1.0:
         raise StabilityError(
             f"explicit scheme unstable: theta_max*dt = {spec.theta_max * dt:.6g} >= 1")
-    if (isinstance(spec, GeometricBrownian)
-            and math.isinf(spec.mu - 0.5 * (spec.sigma * spec.sigma))):
-        raise DomainError(f"sigma {spec.sigma} puts the log drift mu - sigma**2/2 "
-                          "past the float range")
+    if isinstance(spec, GeometricBrownian):
+        if math.isinf(drift := spec.mu - 0.5 * (spec.sigma * spec.sigma)):
+            raise DomainError(f"sigma {spec.sigma} puts the log drift mu - sigma**2/2 "
+                              "past the float range")
+        name = "mu - sigma**2/2"
+    elif isinstance(spec, GeometricLevy):
+        drift, name = spec.loc, "loc"
+    else:
+        return
+    # The drift line alone would leave the clip, which then flattens every path.
+    if abs(drift) * grid.horizon >= _EXPONENT_CLIP:
+        raise DomainError(f"log drift {name} = {drift:.6g} over horizon "
+                          f"{grid.horizon:.6g} reaches the exponent clip "
+                          f"{_EXPONENT_CLIP:g}")
 
 
 def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
              seed: int, workers: int = 1) -> Ensemble:
     """Simulate an ensemble of independent trajectories.
 
-    Every field of ``spec`` must be finite.  Instance i draws only from
+    Every field of ``spec`` must be finite, and a gbm or glevy drift line
+    must stay inside the exponent clip of +-700.  Instance i draws only from
     ``substream(seed, i)``.  Instances run in row tiles of
     ``max(1, _BUDGET // n_steps)`` rows (``max(_WIDE, _BUDGET // n_steps)``
     for OU/AOU, which draw ``_BUDGET // rows`` steps of noise at a time;
@@ -239,7 +253,7 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
         if not math.isfinite(value := getattr(spec, name)):
             raise DomainError(f"{name} must be finite, got {value}")
     grid = TimeGrid.from_horizon(horizon, dt)
-    _check_scheme(spec, grid.dt)
+    _check_scheme(spec, grid)
     row_draws = grid.n_steps  # the most a row of a tile holds at once
     if kernel is _poisson:  # a round's slots, refused before anything is allocated
         row_draws = max(row_draws, _poisson_slot_block(spec.rate, grid.horizon))

@@ -57,6 +57,11 @@ class TestWealthUpdate:
         with pytest.raises(DomainError):
             growth_from_factors(1.0, np.ones((2, 3)), dt)
 
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_fraction_that_is_not_finite(self, fraction):
+        with pytest.raises(DomainError, match="^fraction must be finite, got"):
+            growth_from_factors(fraction, np.ones((2, 3)), 1.0)
+
 
 class TestEvaluateGrowth:
     def test_zero_fraction_is_exactly_zero(self):
@@ -78,6 +83,11 @@ class TestEvaluateGrowth:
         got = evaluate_growth(1.25, GeometricBrownian(0.05, 0.2),
                               200.0, 0.01, 50, 104)
         assert abs(got.growth - 0.03125) < 0.006
+
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_fraction_that_is_not_finite(self, fraction):
+        with pytest.raises(DomainError, match="^fraction must be finite, got"):
+            evaluate_growth(fraction, GeometricBrownian(0.05, 0.2), 1.0, 0.01, 2, 1)
 
     def test_rejects_additive_process(self):
         with pytest.raises(DomainError):
@@ -123,13 +133,21 @@ def _floored_log_walk(fraction, factors, dt):
     return total / len(factors) / (factors.shape[1] * dt), ruins, margin
 
 
-_FACTORS = arrays(np.float64,
-                  st.tuples(st.integers(1, 4), st.integers(1, 40)),
-                  elements=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+_SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 40))
+# Zeros and factors near 1.  The oracle below takes the log of a mix of 0 or
+# below as -inf; the kernel clamps such a mix to _TINY, whose log, -744.4,
+# ruins the step only from log wealth below 716.8, which these never reach.
+_MODERATE_FACTORS = arrays(np.float64, _SHAPES,
+                           elements=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+# These add factors up to 1e300, whose mixes overflow no float and reach log
+# wealth 691 in one step at f = 3.
+_FACTORS = arrays(np.float64, _SHAPES,
+                  elements=st.one_of(st.just(0.0), st.floats(0.0, 3.0),
+                                     st.floats(0.0, 1e300)))
 
 
 @settings(deadline=None)
-@given(st.floats(0.0, 3.0), _FACTORS)
+@given(st.floats(0.0, 3.0), _MODERATE_FACTORS)
 @example(1.0, np.full((2, 41), 0.5))  # first dips 0.1 below the floor at step 40
 def test_growth_matches_floored_log_walk(fraction, factors):
     # Factors below 1 - 1/fraction give a negative mix, zeros a zero mix at
@@ -153,7 +171,9 @@ def _bits(scores):
     return [(np.float64(s.growth).tobytes(), s.ruin_events) for s in scores]
 
 
-_FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0))
+# Negative fractions mix to 0 or below on large factors, fractions above 1 on
+# small ones.
+_FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(-3.0, 3.0))
 
 
 @settings(deadline=None)
@@ -181,7 +201,7 @@ def test_generation_scores_match_single_fraction_scores(factors, drawn, steps):
         assert _bits(batch) == _bits(single)
     for f, got in zip(fractions, batch):
         if got.ruin_events == 0:
-            mix = f * factors + (1.0 - f)
+            mix = np.maximum(f * factors + (1.0 - f), agents._TINY)
             want = np.cumsum(np.log(mix), axis=1)[:, -1].mean() / horizon
             assert np.float64(got.growth).tobytes() == want.tobytes()
 
@@ -245,9 +265,23 @@ def _exact_floored_walk(fraction, factors, dt):
 @given(_FACTORS, st.lists(_FRACTION, min_size=1, max_size=4), st.integers(1, 7))
 @example(np.full((2, 41), 0.5), [1.0], 7)  # floors from step 40, in block 6
 @example(np.array([[1e-13, 3, 3, 3, 3, 3, 1e-20, 3, 3, 3]]), [1.0, 2.5], 3)
+# Sequential sums of log(c) first dip 3.6e-15 below the floor at step 21, the
+# last step of the third block of 7, though the third block's unmargined bound,
+# wealth + 7 log(c), is 7.1e-15 above it; with the next float up, the sums
+# stay above the floor within the bound's margin.
+@example(np.full((2, 21), 0.26826957952797265), [1.0], 7)
+@example(np.full((2, 21), 0.26826957952797276), [1.0], 7)
+# One column, which one reduce would add pairwise, so it is summed in steps;
+# two columns of it, by one reduce that adds rows in turn.
+@example(np.linspace(0.9, 1.1, 40)[None], [1.3], 7)
+@example(np.linspace(0.9, 1.1, 40)[None], [1.3, -0.5], 7)
+# Negative fractions: the least mix comes from the greatest factor, and
+# 1 - f + f * r is 0 or below from r = 1 + 1/|f|, 3 and 2 here.
+@example(np.array([[1.1, 0.9, 3.0, 1.0], [0.9, 1.1, 1.0, 1e300]]), [-0.5, -1.0], 2)
 def test_floored_scores_are_the_exact_per_step_walk(factors, drawn, steps):
     # Bit for bit and ruin for ruin, alone and in a batch whose blocks of
-    # `steps` steps are summed by row adds or by cumsum.
+    # `steps` steps are summed by row adds or by cumsum, or by one reduce where
+    # no column can floor.
     fractions, dt = np.array(drawn), 0.5
     want = _bits([_exact_floored_walk(f, factors, dt) for f in fractions])
     assert _bits([growth_from_factors(f, factors, dt) for f in fractions]) == want

@@ -122,6 +122,16 @@ class TestSimulateCommand:
             "past the float range\n")
         assert not out.exists()
 
+    def test_gbm_drift_line_past_the_exponent_clip_exits_2(self, tmp_path, capsys):
+        """Every value would be exp(700), the clip, not the process."""
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "gbm", "--mu", 1e308, "--sigma", 0.2, "--t", 1,
+                    "--dt", 0.1, "--n", 2, "--seed", 1, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: log drift mu - sigma**2/2 = 1e+308 over horizon 1 "
+            "reaches the exponent clip 700\n")
+        assert not out.exists()
+
     def test_partial_step_horizon_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = run(["simulate", "brownian", "--t", 1, "--dt", 0.3, "--n", 2,

@@ -4,10 +4,10 @@ Two tiers:
 
 * The RNG core (seed derivation, raw words, uniforms) uses only integer and
   exactly rounded float operations, so its digests hold on every platform.
-* The ``replicate --seed 12345`` outputs, a small evolve history, and the
-  outputs of ``simulate`` and ``diagnose`` on gbm and glevy go
-  through transcendental numpy kernels whose last bits depend on the numpy
-  build and on its SIMD dispatch target.  Their digests are checked only
+* The ``replicate --seed 12345`` outputs, a small evolve history, a floored
+  ``evolve`` run, and the outputs of ``simulate`` and ``diagnose`` on gbm and
+  glevy go through transcendental numpy kernels whose last bits depend on the
+  numpy build and on its SIMD dispatch target.  Their digests are checked only
   where both match the recorded environment; elsewhere the tests are skipped
   with the reason.  Fingerprints of the replicate CSVs, checked to a
   relative 1e-12, hold on every platform.
@@ -135,6 +135,19 @@ def test_evolve_history_digest():
     record = np.array([best, *np.ravel(history)])
     assert _digest([record.astype("<f8").tobytes()]) == \
         "6acd694969ac9c2766a2acc16296e9ec6b6d03e9983c1c86bfa28e356abbb7a3"
+
+
+def test_floored_evolve_digest(tmp_path):
+    """The CLI's evolve history on heavy-tailed paths at leverage up to 3,
+    where fractions hit the ruin floor and are walked step by step."""
+    _require_recorded_environment()
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--family", "glevy", "--alpha", "1.5", "--beta", "0",
+                 "--scale", "0.2", "--loc", "0.02", "--agents", "10",
+                 "--generations", "3", "--t", "10", "--dt", "0.01", "--paths", "10",
+                 "--f-max", "3", "--seed", "7", "--out", str(out)]) == 0
+    assert _digest([out.read_bytes()]) == \
+        "38d3b2376c01f1e0f66fb346bf14a311ff805faaf8030cf990e11f2cc64fb767"
 
 
 # `simulate` and `diagnose` runs pinned by the sha256 of every output file: a

@@ -241,6 +241,23 @@ class TestSimulate:
         with pytest.raises(DomainError, match=re.escape(f"sigma {sigma} puts the log")):
             simulate(GeometricBrownian(mu, sigma), 1.0, 0.1, 2, 1)
 
+    @pytest.mark.parametrize("spec, horizon", [
+        (GeometricBrownian(1e308, 0.2), 1.0),
+        (GeometricBrownian(-699.99, 0.2), 1.0),  # -700.01 once sigma**2/2 is taken
+        (GeometricBrownian(3.6, 0.2), 200.0),
+        (GeometricLevy(1.5, 0.0, 0.2, 700.0), 1.0),
+        (GeometricLevy(1.5, 0.0, 0.2, -7.0), 100.0),
+    ])
+    def test_drift_line_reaching_the_exponent_clip_refused(self, spec, horizon):
+        with pytest.raises(DomainError, match="reaches the exponent clip 700$"):
+            simulate(spec, horizon, 0.1, 2, 1)
+
+    @pytest.mark.parametrize("spec", [GeometricBrownian(699.9, 0.2),
+                                      GeometricLevy(1.5, 0.0, 0.2, -699.9)])
+    def test_drift_line_inside_the_exponent_clip_is_simulated(self, spec):
+        ens = simulate(spec, 1.0, 0.1, 2, 1)
+        assert np.isfinite(ens.values).all() and (ens.values > 0.0).all()
+
     def test_ensemble_values_read_only(self):
         ens = simulate(Brownian(), 1.0, 0.1, 2, 1)
         with pytest.raises(ValueError):
