@@ -138,8 +138,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     from .csvio import read_ensemble_rows
     from .diagnostics import (DEFAULT_FAN_LEVELS, _check_options, _TimeRowStats,
                               preasymptotic_report)
-    from .figures import (fan_series, fan_table, preasym_series, preasym_table,
-                          summary_series, summary_table)
+    from .figures import (fan_series, fan_table, growth_table, preasym_series,
+                          preasym_table, summary_series, summary_table)
     from .processes import simulate
     from .svgplot import LineBundle, render_svg
     want_fan = args.fan or args.fan_levels is not None
@@ -179,10 +179,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         outputs.append(("summary", summary_table(summary, times),
                         chart("Ensemble summaries", summary_series(summary, times))))
     if args.growth:
-        rates = stats.growth_rates(grid.horizon)
-        table = (["metric", "value"], [["time_average", "ensemble_average"],
-                                       [rates.time_average, rates.ensemble_average]])
-        outputs.append(("growth", table, None))
+        outputs.append(("growth", growth_table(stats.growth_rates(grid.horizon)), None))
     if args.preasym:
         report = preasymptotic_report(stats.joined("inst_0"), grid,
                                       tail_fraction=args.tail_fraction,

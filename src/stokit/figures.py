@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (DEFAULT_FAN_LEVELS, PreasymptoticReport, QuantileFan,
-                          SummaryCurves, preasymptotic_report, quantile_fan,
-                          summary_curves)
+from .diagnostics import (DEFAULT_FAN_LEVELS, GrowthRates, PreasymptoticReport,
+                          QuantileFan, SummaryCurves, preasymptotic_report,
+                          quantile_fan, summary_curves)
 from .processes import (AdaptiveOU, Brownian, GeometricLevy,
                         OrnsteinUhlenbeck, simulate)
 from .rng import derive_seed
@@ -74,6 +74,11 @@ def summary_series(summary: SummaryCurves, times: np.ndarray) -> tuple[Series, .
     return (Series("arithmetic mean", times, summary.arithmetic_mean),
             Series("median", times, summary.median),
             Series("geometric mean", times, summary.geometric_mean))
+
+
+def growth_table(rates: GrowthRates) -> Table:
+    return (["metric", "value"], [["time_average", "ensemble_average"],
+                                  [rates.time_average, rates.ensemble_average]])
 
 
 def preasym_table(report: PreasymptoticReport, times: np.ndarray) -> Table:

@@ -8,6 +8,7 @@ kernel that fills a tile of instance rows in place in the ensemble, from the
 block stream of their ids.  A tile holds about ``_BUDGET`` draws, which stay
 in a core's L2 cache.  OU/AOU tiles are at least ``_WIDE`` rows wide and draw
 their noise a chunk of steps at a time: step k's Gaussian sits at counter 2k.
+OU carries x; AOU also a rate vector, which `Ensemble.theta_paths` replays.
 
 Discretization choices:
 
@@ -26,7 +27,8 @@ Discretization choices:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .specs import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
 
 # Bound on a multiplicative path's exponent, so that exp() stays finite and > 0.
 _EXPONENT_CLIP = 700.0
-# Fewest rows in an OU/AOU tile: its time loop makes ~15 numpy calls a step.
+# Fewest rows in an OU/AOU tile: its time loop makes 6-14 numpy calls a step.
 _WIDE = 1 << 10
 
 
@@ -93,7 +95,6 @@ class Ensemble:
     values: np.ndarray
     spec: ProcessSpec | None = None
     seed: int | None = None
-    theta_paths: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -108,12 +109,28 @@ class Ensemble:
     def num_instances(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def theta_paths(self) -> np.ndarray | None:
+        """AOU's read-only rate paths, replayed over the stored x; else None."""
+        if not isinstance(spec := self.spec, AdaptiveOU):
+            return None
+        thetas = np.empty_like(self.values)
+        thetas[:, 0] = theta = spec.theta0
+        for k, x in enumerate(self.values.T[1:], 1):
+            thetas[:, k] = theta = _next_theta(spec, theta, x, self.grid.dt)
+        thetas.setflags(write=False)
+        return thetas
 
-# --- one kernel per family group: it fills `out` (and `theta_out`, for AOU)
-# with the rows of a block of instances, drawn from the block stream of their ids
+
+def _next_theta(spec: AdaptiveOU, theta, x: np.ndarray, dt: float) -> np.ndarray:
+    proposal = theta + spec.eta * (np.abs(x - spec.mean) - spec.band) * dt
+    return np.minimum(np.maximum(proposal, spec.theta_min), spec.theta_max)
+
+
+# --- one kernel per family group: it fills `out` from the tile's block stream
 
 def _walk(spec: Brownian | GeometricBrownian | LevyStable | GeometricLevy,
-          grid: TimeGrid, stream: RngStream, out: np.ndarray, theta_out) -> None:
+          grid: TimeGrid, stream: RngStream, out: np.ndarray) -> None:
     n = grid.n_steps
     if isinstance(spec, Brownian):
         z = sample_gaussian(stream, n)
@@ -140,42 +157,29 @@ def _walk(spec: Brownian | GeometricBrownian | LevyStable | GeometricLevy,
 
 
 def _mean_reverting(spec: OrnsteinUhlenbeck | AdaptiveOU, grid: TimeGrid,
-                    stream: RngStream, out: np.ndarray, theta_out) -> None:
+                    stream: RngStream, out: np.ndarray) -> None:
     """One time loop for fixed and adaptive mean reversion, vectorized over
-    rows: with eta = 0 theta stays at theta0, so a fixed-rate run is
-    bit-identical to an adaptive run with zero gain.  The noise is drawn
-    ``_BUDGET // rows`` steps at a time; x and theta carry from one chunk of
-    steps to the next."""
-    if isinstance(spec, OrnsteinUhlenbeck):
-        theta0, eta, band, lo, hi = spec.theta, 0.0, 0.0, spec.theta, spec.theta
-    else:
-        theta0, eta, band = spec.theta0, spec.eta, spec.band
-        lo, hi = spec.theta_min, spec.theta_max
+    rows: OU's rate is a constant; AOU's rate vector moves by `_next_theta`
+    after each state update.  The noise is drawn ``_BUDGET // rows`` steps at
+    a time; x and theta carry from one chunk of steps to the next."""
+    adaptive = isinstance(spec, AdaptiveOU)
+    theta = spec.theta0 if adaptive else spec.theta
     n, dt, mean = grid.n_steps, grid.dt, spec.mean
     width = spec.scale * math.sqrt(dt)
     chunk = max(1, _BUDGET // out.shape[0])
-    xs = np.empty((min(chunk, n) + 1, out.shape[0]))  # steps x rows
-    thetas = np.empty_like(xs)
-    xs[0] = out[:, 0] = spec.x0
-    thetas[0] = theta0
-    if theta_out is not None:
-        theta_out[:, 0] = theta0
+    xs = np.empty((min(chunk, n), out.shape[0]))  # steps x rows
+    x = out[:, 0] = spec.x0
     for k0 in range(0, n, chunk):
         steps = min(chunk, n - k0)
         noise = width * np.ascontiguousarray(sample_gaussian(stream, steps).T)
         for k in range(steps):
-            x, theta = xs[k], thetas[k]
-            xs[k + 1] = x = x + theta * (mean - x) * dt + noise[k]
-            proposal = theta + eta * (np.abs(x - mean) - band) * dt
-            thetas[k + 1] = np.minimum(np.maximum(proposal, lo), hi)
-        out[:, k0 + 1:k0 + steps + 1] = xs[1:steps + 1].T
-        if theta_out is not None:
-            theta_out[:, k0 + 1:k0 + steps + 1] = thetas[1:steps + 1].T
-        xs[0], thetas[0] = xs[steps], thetas[steps]
+            xs[k] = x = x + theta * (mean - x) * dt + noise[k]
+            if adaptive:
+                theta = _next_theta(spec, theta, x, dt)
+        out[:, k0 + 1:k0 + steps + 1] = xs[:steps].T
 
 
-def _poisson(spec: Poisson, grid: TimeGrid, stream: RngStream, out: np.ndarray,
-             theta_out) -> None:
+def _poisson(spec: Poisson, grid: TimeGrid, stream: RngStream, out: np.ndarray) -> None:
     """Each live row draws the slot blocks `sample_poisson_events` draws on
     its own stream; every arrival within the horizon is counted from the
     first grid time at or after it."""
@@ -261,13 +265,11 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
     if kernel is _mean_reverting:  # its per-step numpy calls want wide tiles
         rows = max(_WIDE, rows)
     values = np.empty((num_instances, grid.n_steps + 1))
-    thetas = np.empty_like(values) if isinstance(spec, AdaptiveOU) else None
     starts = range(0, num_instances, rows)
 
     def run_block(start: int) -> None:
-        block = slice(start, min(start + rows, num_instances))
-        kernel(spec, grid, substream(seed, np.arange(block.start, block.stop)),
-               values[block], None if thetas is None else thetas[block])
+        stop = min(start + rows, num_instances)
+        kernel(spec, grid, substream(seed, np.arange(start, stop)), values[start:stop])
 
     if workers == 1 or len(starts) == 1:
         for start in starts:
@@ -276,5 +278,4 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
         from concurrent.futures import ThreadPoolExecutor  # spares every start-up
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             list(pool.map(run_block, starts))
-    return Ensemble(grid=grid, values=values, spec=spec, seed=seed,
-                    theta_paths=thetas)
+    return Ensemble(grid=grid, values=values, spec=spec, seed=seed)

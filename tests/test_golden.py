@@ -5,12 +5,12 @@ Two tiers:
 * The RNG core (seed derivation, raw words, uniforms) uses only integer and
   exactly rounded float operations, so its digests hold on every platform.
 * The ``replicate --seed 12345`` outputs, a small evolve history, a floored
-  ``evolve`` run, and the outputs of ``simulate`` and ``diagnose`` on gbm and
-  glevy go through transcendental numpy kernels whose last bits depend on the
-  numpy build and on its SIMD dispatch target.  Their digests are checked only
-  where both match the recorded environment; elsewhere the tests are skipped
-  with the reason.  Fingerprints of the replicate CSVs, checked to a
-  relative 1e-12, hold on every platform.
+  ``evolve`` run, the outputs of ``simulate`` and ``diagnose`` on gbm and
+  glevy, and ``simulate`` on ou and aou go through transcendental numpy
+  kernels whose last bits depend on the numpy build and on its SIMD dispatch
+  target.  Their digests are checked only where both match the recorded
+  environment; elsewhere the tests are skipped with the reason.  Fingerprints
+  of the replicate CSVs, checked to a relative 1e-12, hold on every platform.
 
 A change that moves any of these bits must say so and re-pin them.
 """
@@ -208,3 +208,28 @@ def test_simulate_and_diagnose_digests(cli_outputs):
         got = {name.replace(f"_{source}_", "_"): digest
                for name, digest in cli_outputs.items() if f"_{source}_" in name}
         assert {**simulated, **got} == CLI_DIGESTS, source
+
+
+# `simulate` of the mean-reverting families, one tile of 200 rows over three
+# step chunks: fixed-rate OU, adaptive OU, and adaptive OU with zero gain.
+MEAN_REVERTING_RUNS = {
+    "ou": ["ou", "--theta", "2", "--mean", "0.3", "--scale", "0.5", "--x0", "1"],
+    "aou": ["aou", "--theta0", "1", "--mean", "0", "--scale", "0.5", "--x0", "2",
+            "--eta", "2", "--band", "0.5", "--theta-min", "0.1", "--theta-max", "10"],
+    "aou_eta0": ["aou", "--theta0", "1", "--mean", "0", "--scale", "0.5", "--x0", "2",
+                 "--eta", "0", "--band", "0.5", "--theta-min", "0.1", "--theta-max", "10"],
+}
+MEAN_REVERTING_DIGESTS = {
+    "ou": "72e66e226f7412f016de69de5dd5f5d047c04bf5416a01986dac3914867978a1",
+    "aou": "4a9dbe0ccd353d6bd180612fdfc72490a9dda05cf4ba679f7f8b9fb6d734592b",
+    "aou_eta0": "07e112e813d3a4570633245d9e11674a1c9f5b6082e0f3c7149a0f01f162fa73",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEAN_REVERTING_RUNS))
+def test_mean_reverting_simulate_digests(tmp_path, name):
+    _require_recorded_environment()
+    out = tmp_path / f"{name}.csv"
+    assert main(["simulate", *MEAN_REVERTING_RUNS[name], *SIMULATE_RUN,
+                 "--out", str(out)]) == 0
+    assert _digest([out.read_bytes()]) == MEAN_REVERTING_DIGESTS[name]

@@ -14,6 +14,7 @@ from stokit import (AdaptiveOU, Brownian, DomainError, GeometricBrownian,
                     sample_gaussian, sample_poisson_events, sample_stable,
                     simulate, substream)
 from stokit import processes, rng
+from stokit.csvio import ensemble_table, read_ensemble_csv, write_csv
 from stokit.processes import _BUDGET, _WIDE
 
 
@@ -371,18 +372,62 @@ def test_tile_constants_do_not_move_a_bit(spec, n, steps, budget, wide, seed):
                 assert tiled.theta_paths.tobytes() == whole.theta_paths.tobytes()
 
 
-def test_ou_tiles_hold_a_few_budgets_beyond_values():
-    """A 10 000 x 1000 OU run holds, beyond its values, its tile's noise
-    draws and the x and theta of one step chunk: at most 10 float64 arrays of
-    `_BUDGET` draws (1.25 MiB at 2**14), where whole-path row blocks held
-    n_steps x rows x 8 bytes of state per thread."""
+@pytest.mark.parametrize("spec", [OrnsteinUhlenbeck(1.0, 0.0, 1.0, 0.0),
+                                  KERNEL_CASES["aou"][0]],
+                         ids=lambda spec: type(spec).__name__)
+def test_ou_tiles_hold_a_few_budgets_beyond_values(spec):
+    """A 10 000 x 1000 OU or AOU run holds, beyond its values, its tile's
+    noise draws, the x of one step chunk and AOU's rate vector: at most 10
+    float64 arrays of `_BUDGET` draws (1.25 MiB at 2**14), where whole-path
+    row blocks held n_steps x rows x 8 bytes of state per thread, and an AOU
+    run that filled its rate paths held another ensemble-sized array."""
     tracemalloc.start()
     try:
-        ens = simulate(OrnsteinUhlenbeck(1.0, 0.0, 1.0, 0.0), 10.0, 0.01, 10_000, 5)
+        ens = simulate(spec, 10.0, 0.01, 10_000, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - ens.values.nbytes <= 10 * 8 * _BUDGET
+
+
+class TestThetaPaths:
+    """`Ensemble.theta_paths` replays AOU's rate rule over the stored x."""
+
+    @pytest.mark.parametrize("spec", [spec for spec in FAMILIES
+                                      if not isinstance(spec, AdaptiveOU)],
+                             ids=lambda spec: type(spec).__name__)
+    def test_none_for_other_specs(self, spec):
+        assert simulate(spec, 0.1, 0.01, 3, 1).theta_paths is None
+
+    def test_none_for_files(self, tmp_path):
+        spec = KERNEL_CASES["aou"][0]
+        path = tmp_path / "aou.csv"
+        write_csv(path, *ensemble_table(simulate(spec, 0.1, 0.01, 3, 1)))
+        assert read_ensemble_csv(path).theta_paths is None
+
+    def test_hand_built_values_replay_like_scalars(self):
+        spec = AdaptiveOU(theta0=1.0, mean=0.2, scale=0.5, x0=2.0, eta=3.0, band=0.4,
+                          theta_min=0.5, theta_max=4.0)
+        grid = TimeGrid(dt=0.01, n_steps=300)
+        walks = np.random.default_rng(3).normal(0.0, 1.0, (4, 301)).cumsum(axis=1)
+        values = 0.2 + walks * np.array([[0.01], [0.01], [1.0], [1.0]])
+        thetas = processes.Ensemble(grid, values, spec=spec).theta_paths
+        for row, theta_row in zip(values.tolist(), thetas):
+            theta, want = spec.theta0, [spec.theta0]
+            for x in row[1:]:
+                theta = min(max(theta + spec.eta * (abs(x - spec.mean) - spec.band)
+                                * grid.dt, spec.theta_min), spec.theta_max)
+                want.append(theta)
+            assert theta_row.tobytes() == np.array(want).tobytes()
+        assert 0.5 in thetas and 4.0 in thetas  # both bounds were hit
+
+    def test_read_only_and_computed_once(self):
+        ens = simulate(KERNEL_CASES["aou"][0], 1.0, 0.01, 5, 2)
+        thetas = ens.theta_paths
+        assert ens.theta_paths is thetas
+        assert thetas.shape == ens.values.shape and not thetas.flags.writeable
+        with pytest.raises(ValueError):
+            thetas[0, 0] = 1.0
 
 
 class TestPoissonSlotBlock:
