@@ -20,6 +20,10 @@ from each path's least and greatest factor skips the work that cannot
 matter: the clamp of non-positive mixes where no mix is non-positive, and
 the partial sums, floor scan and walk of a block in which no column can
 reach the floor, which is summed by one reduce down its steps instead.
+
+`evolutionary_optimize` scores a generation's fractions in groups on threads
+while it draws the next generation's paths, which depend only on (seed,
+generation); as a score does not depend on its batch, no byte depends on that.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .processes import ProcessSpec, simulate
+from .processes import _MAX_VALUES, ProcessSpec, _map, _tiling
 from .rng import derive_seed, sample_gaussian, substream
 
 WEALTH_FLOOR = 1e-12
@@ -78,10 +82,19 @@ def growth_from_factors(fraction: float, factors: np.ndarray, dt: float
     return _score(np.array([fraction], dtype=np.float64), factors, dt)[0]
 
 
-def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
+def _buffers(n_fractions: int, n_paths: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_score`'s block of log mixes and the block's factors, steps-major."""
+    block = np.empty((min(n_steps, max(1, _BLOCK // (n_fractions * n_paths))),
+                      n_fractions * n_paths))
+    return block, np.empty((len(block), n_paths))
+
+
+def _score(fractions: np.ndarray, factors: np.ndarray, dt: float,
+           buffers: tuple[np.ndarray, np.ndarray] | None = None
            ) -> list[GrowthEval]:
     """`growth_from_factors` for every fraction on the same factors, in one
-    pass over blocks of steps.
+    pass over blocks of steps, in the work ``buffers`` of `_buffers` (new ones
+    by default).
 
     Each block holds the log mix of every (fraction, path) pair for up to
     ``_BLOCK // (fractions x paths)`` steps, about 1 MB, steps-major: the
@@ -118,9 +131,8 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float
     clamp = not (least > 0.0).all()
     drop = np.minimum(np.log(np.maximum(least, _TINY)), 0.0)  # <= each log mix, to ulps
     deepest = -drop.min()
-    block = np.empty((min(n_steps, max(1, _BLOCK // shift.size)), shift.size))
+    block, steps = buffers or _buffers(fractions.size, n_paths, n_steps)
     rows = list(block) if shift.size >= _ROW_ADDS else None
-    steps = np.empty((len(block), n_paths))  # the block's factors, steps-major
     wealth, low = np.zeros(shift.size), np.empty(shift.size)
     ruins = np.zeros(shift.size, dtype=np.int64)
     for start in range(0, n_steps, len(block)):
@@ -182,12 +194,19 @@ def _clear_of_floor(wealth: np.ndarray, drop: np.ndarray, deepest: float,
 
 def _factors(spec: ProcessSpec, horizon: float, dt: float, n_paths: int,
              seed: int) -> np.ndarray:
-    """Per-step gross factors of a simulated multiplicative ensemble."""
+    """Per-step gross factors of a simulated multiplicative ensemble: `simulate`'s
+    row tiles, each divided into the factor matrix, so no level matrix is held."""
     if not spec.multiplicative:
         raise DomainError(
             f"{type(spec).__name__} is not a multiplicative process family")
-    values = simulate(spec, horizon, dt, n_paths, seed).values
-    return values[:, 1:] / values[:, :-1]
+    grid, kernel, rows = _tiling(spec, horizon, dt, n_paths)
+    factors = np.empty((n_paths, grid.n_steps))
+    levels = np.empty((min(rows, n_paths), grid.n_steps + 1))
+    for start in range(0, n_paths, rows):
+        tile = levels[:n_paths - start]
+        kernel(spec, grid, substream(seed, np.arange(start, start + len(tile))), tile)
+        np.divide(tile[:, 1:], tile[:, :-1], out=factors[start:start + len(tile)])
+    return factors
 
 
 def evaluate_growth(fraction: float, spec: ProcessSpec, horizon: float,
@@ -230,6 +249,9 @@ class PoolConfig:
                 f"survivor_share must lie in (0, 1), got {self.survivor_share}")
         if self.paths_per_eval < 1:
             raise DomainError(f"paths_per_eval must be >= 1, got {self.paths_per_eval}")
+        if self.n_agents * self.paths_per_eval > _MAX_VALUES:
+            raise SizeError(f"{self.n_agents} agents x {self.paths_per_eval} paths "
+                            "are more scores than an array can hold")
         if self.f_min >= self.f_max:
             raise DomainError(f"f_min {self.f_min} must be below f_max {self.f_max}")
         f, lo, hi = self.initial_fraction, self.f_min, self.f_max
@@ -237,7 +259,7 @@ class PoolConfig:
             raise DomainError(f"initial_fraction {f} outside [{lo}, {hi}]")
 
 
-def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec
+def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec, workers: int = 1
                           ) -> tuple[float, list[GenerationStat]]:
     """Select-and-mutate loop over leverage fractions.
 
@@ -245,8 +267,10 @@ def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec
     survivor_share by fitness, and refills by mutating survivors with
     Gaussian noise clipped to [f_min, f_max].  Returns the best fraction of
     the final generation and the per-generation (best fraction, best fitness)
-    records.
+    records, the same bits for any number of ``workers`` (scoring threads).
     """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     n = config.n_agents
     n_survivors = min(max(1, int(math.ceil(config.survivor_share * n))), n - 1)
 
@@ -256,13 +280,20 @@ def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec
         init = substream(derive_seed(config.seed, _INIT_SALT), 0)
         fractions = config.f_min + (config.f_max - config.f_min) * init.uniforms(n)
 
+    def draw(generation: int) -> np.ndarray | None:  # None past the last generation
+        return _factors(spec, config.horizon, config.dt, config.paths_per_eval,
+                        derive_seed(config.seed, _PATH_SALT, generation)
+                        ) if generation < config.generations else None
+
+    factors = draw(0)
+    groups = [(cut, _buffers(len(cut), *factors.shape))  # buffers allocated here, once
+              for cut in np.array_split(np.arange(n), min(workers, n))]
     history: list[GenerationStat] = []
     for generation in range(config.generations):
-        path_seed = derive_seed(config.seed, _PATH_SALT, generation)
-        factors = _factors(spec, config.horizon, config.dt,
-                           config.paths_per_eval, path_seed)
-        fitness = np.array([score.growth for score in
-                            _score(fractions, factors, config.dt)])
+        parts = [(fractions[cut], factors, config.dt, buffers) for cut, buffers in groups]
+        scores, factors = _map(lambda part: _score(*part), parts, workers,
+                               lambda: draw(generation + 1))
+        fitness = np.array([score.growth for group in scores for score in group])
         order = np.argsort(-fitness, kind="stable")
         history.append(GenerationStat(float(fractions[order[0]]),
                                       float(fitness[order[0]])))

@@ -17,6 +17,7 @@ All outputs are deterministic functions of the flags; ``--seed`` defaults to
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -224,7 +225,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         horizon=args.t, dt=args.dt, paths_per_eval=args.paths,
         f_min=args.f_min, f_max=args.f_max, seed=args.seed,
         initial_fraction=args.initial_fraction)
-    best, history = evolutionary_optimize(config, spec)
+    workers = args.workers or (len(os.sched_getaffinity(0))  # the usable cores by default
+                               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    best, history = evolutionary_optimize(config, spec, workers=workers)
     write_csv(args.out, ["generation", "best_fraction", "best_fitness"],
               [[str(g) for g in range(len(history))],
                [stat.best_fraction for stat in history],
@@ -336,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evo.add_argument("--f-max", type=float, default=3.0)
     p_evo.add_argument("--initial-fraction", type=float, default=None)
     p_evo.add_argument("--seed", type=int, default=12345)
+    p_evo.add_argument("--workers", type=int, help="scoring threads; default: usable cores")
     p_evo.add_argument("--out", required=True)
     p_evo.set_defaults(func=cmd_evolve)
 
@@ -352,12 +356,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:
+        if getattr(args, "workers", None) is not None and args.workers < 1:
             raise DomainError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
-    except (StokitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 1)  # an OSError's is 1
+    except (StokitError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return getattr(exc, "exit_code", 1)  # an OSError's or MemoryError's is 1
 
 
 if __name__ == "__main__":

@@ -587,6 +587,7 @@ def _parse_lines(pieces, source: str) -> Ensemble:
     grid = _time_rows(pieces, source, fill)
     if done != n_rows:  # the file lost rows between the two passes
         raise SchemaError(f"{source}: file changed while being read")
+    values.setflags(write=False)  # so that the ensemble keeps it uncopied
     return Ensemble(grid=grid, values=values, spec=None, seed=None)
 
 

@@ -42,6 +42,7 @@ from .specs import (AdaptiveOU, Brownian, GeometricBrownian, GeometricLevy,
 _EXPONENT_CLIP = 700.0
 # Fewest rows in an OU/AOU tile: its time loop makes 6-14 numpy calls a step.
 _WIDE = 1 << 10
+_MAX_VALUES = np.iinfo(np.intp).max // 8  # the most float64 values an array holds
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,9 @@ class Ensemble:
     seed: int | None = None
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = self.values  # kept if owned and read-only, so that no one else writes it
+        frozen = isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable
+        values = np.array(v, dtype=np.float64, order="C", copy=None if frozen else True)
         if values.ndim != 2 or values.shape[1] != self.grid.n_steps + 1:
             raise SizeError(
                 f"values shape {values.shape} does not match grid with "
@@ -231,6 +234,41 @@ def _check_scheme(spec: ProcessSpec, grid: TimeGrid) -> None:
                           f"{_EXPONENT_CLIP:g}")
 
 
+def _map(fn, items, workers: int, meanwhile=lambda: None) -> tuple[list, object]:
+    """``map(fn, items)`` on up to ``workers`` threads, and ``meanwhile()`` on
+    the calling thread as they run; inline, with no thread, at 1 worker or item."""
+    if workers == 1 or len(items) == 1:
+        return [fn(item) for item in items], meanwhile()
+    from concurrent.futures import ThreadPoolExecutor  # spares every start-up
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        results, extra = pool.map(fn, items), meanwhile()  # map submits every item at once
+        return list(results), extra
+
+
+def _tiling(spec: ProcessSpec, horizon: float, dt: float, num_instances: int):
+    """Check `simulate`'s arguments; return its grid, family kernel and tile rows."""
+    if num_instances < 1:
+        raise SizeError(f"num_instances must be >= 1, got {num_instances}")
+    kernel = next((k for types, k in _KERNELS if isinstance(spec, types)), None)
+    if kernel is None:
+        raise DomainError(f"unknown process spec {type(spec).__name__}")
+    for name in (f.name for f in fields(spec)):
+        if not math.isfinite(value := getattr(spec, name)):
+            raise DomainError(f"{name} must be finite, got {value}")
+    grid = TimeGrid.from_horizon(horizon, dt)
+    if num_instances * (grid.n_steps + 1) > _MAX_VALUES:
+        raise SizeError(f"{num_instances} instances of {grid.n_steps + 1} timepoints "
+                        "are more values than an array can hold")
+    _check_scheme(spec, grid)
+    row_draws = grid.n_steps  # the most a row of a tile holds at once
+    if kernel is _poisson:  # a round's slots, refused before anything is allocated
+        row_draws = max(row_draws, _poisson_slot_block(spec.rate, grid.horizon))
+    rows = max(1, _BUDGET // row_draws)
+    if kernel is _mean_reverting:  # its per-step numpy calls want wide tiles
+        rows = max(_WIDE, rows)
+    return grid, kernel, rows
+
+
 def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
              seed: int, workers: int = 1) -> Ensemble:
     """Simulate an ensemble of independent trajectories.
@@ -246,36 +284,15 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
     them when ``workers`` is 1), and with any count the result is
     byte-identical to the single-threaded run.
     """
-    if num_instances < 1:
-        raise SizeError(f"num_instances must be >= 1, got {num_instances}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    kernel = next((k for types, k in _KERNELS if isinstance(spec, types)), None)
-    if kernel is None:
-        raise DomainError(f"unknown process spec {type(spec).__name__}")
-    for name in (f.name for f in fields(spec)):
-        if not math.isfinite(value := getattr(spec, name)):
-            raise DomainError(f"{name} must be finite, got {value}")
-    grid = TimeGrid.from_horizon(horizon, dt)
-    _check_scheme(spec, grid)
-    row_draws = grid.n_steps  # the most a row of a tile holds at once
-    if kernel is _poisson:  # a round's slots, refused before anything is allocated
-        row_draws = max(row_draws, _poisson_slot_block(spec.rate, grid.horizon))
-    rows = max(1, _BUDGET // row_draws)
-    if kernel is _mean_reverting:  # its per-step numpy calls want wide tiles
-        rows = max(_WIDE, rows)
+    grid, kernel, rows = _tiling(spec, horizon, dt, num_instances)
     values = np.empty((num_instances, grid.n_steps + 1))
-    starts = range(0, num_instances, rows)
 
     def run_block(start: int) -> None:
         stop = min(start + rows, num_instances)
         kernel(spec, grid, substream(seed, np.arange(start, stop)), values[start:stop])
 
-    if workers == 1 or len(starts) == 1:
-        for start in starts:
-            run_block(start)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # spares every start-up
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            list(pool.map(run_block, starts))
+    _map(run_block, range(0, num_instances, rows), workers)
+    values.setflags(write=False)  # so that the ensemble keeps it uncopied
     return Ensemble(grid=grid, values=values, spec=spec, seed=seed)

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from stokit import (Brownian, DomainError, GeometricBrownian, GeometricLevy,
                     PoolConfig, SizeError, evaluate_growth,
                     evolutionary_optimize, growth_from_factors, simulate)
-from stokit import agents
+from stokit import agents, processes
 from stokit.agents import _PATH_SALT, WEALTH_FLOOR, GrowthEval
 from stokit.rng import derive_seed
 
@@ -362,3 +367,113 @@ class TestEvolution:
                          paths_per_eval=40, f_min=0.0, f_max=3.0, seed=6)
         best, _ = evolutionary_optimize(cfg, GeometricBrownian(0.05, 0.2))
         assert 0.95 <= best <= 1.55  # mu/sigma^2 = 1.25, short-run tolerance
+
+    def test_rejects_fewer_than_one_worker(self):
+        cfg = PoolConfig(n_agents=4, generations=2, mutation_sd=0.1,
+                         survivor_share=0.25, horizon=1.0, dt=0.01,
+                         paths_per_eval=2, f_min=0.0, f_max=3.0, seed=1)
+        for workers in (0, -1):
+            with pytest.raises(DomainError, match="workers must be >= 1"):
+                evolutionary_optimize(cfg, GeometricBrownian(0.05, 0.2), workers=workers)
+
+    def test_agents_times_paths_past_an_array_refused(self):
+        """Refused before anything is allocated: 40 x 2**62 scores."""
+        with pytest.raises(SizeError, match="more scores than an array can hold"):
+            PoolConfig(n_agents=40, generations=2, mutation_sd=0.1,
+                       survivor_share=0.25, horizon=1.0, dt=0.01,
+                       paths_per_eval=2 ** 62, f_min=0.0, f_max=3.0, seed=1)
+
+
+# CI's floored glevy run and a GBM run, 10 agents: 3 workers split them 4/3/3.
+_EVOLVE_CASES = {
+    "gbm": (GeometricBrownian(0.05, 0.2),
+            PoolConfig(n_agents=10, generations=4, mutation_sd=0.3,
+                       survivor_share=0.25, horizon=20.0, dt=0.01,
+                       paths_per_eval=12, f_min=0.0, f_max=3.0, seed=5)),
+    "glevy_floored": (GeometricLevy(1.5, 0.0, 0.2, 0.02),
+                      PoolConfig(n_agents=10, generations=3, mutation_sd=0.1,
+                                 survivor_share=0.25, horizon=10.0, dt=0.01,
+                                 paths_per_eval=10, f_min=0.0, f_max=3.0, seed=7)),
+}
+
+
+@pytest.mark.parametrize("block", [agents._BLOCK, 2 ** 10], ids=["block", "small_block"])
+@pytest.mark.parametrize("case", sorted(_EVOLVE_CASES))
+def test_evolve_history_does_not_depend_on_workers(monkeypatch, case, block):
+    spec, cfg = _EVOLVE_CASES[case]
+    monkeypatch.setattr(agents, "_BLOCK", block)
+    scored, drawn = [], []
+    score, factors = agents._score, agents._factors
+
+    def recording_score(fractions, *rest):
+        scored.append((fractions.size, threading.current_thread()))
+        return score(fractions, *rest)
+
+    def recording_factors(*args):
+        drawn.append(threading.current_thread())
+        return factors(*args)
+
+    monkeypatch.setattr(agents, "_score", recording_score)
+    monkeypatch.setattr(agents, "_factors", recording_factors)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads hand over the interpreter often
+    try:
+        for workers in (1, 2, 3):
+            scored.clear()
+            runs[workers] = evolutionary_optimize(cfg, spec, workers=workers)
+            sizes = sorted(size for size, _ in scored)
+            assert sizes == sorted([10 // workers + (k < 10 % workers)
+                                    for k in range(workers)] * cfg.generations)
+            pool = {thread for _, thread in scored} - {threading.main_thread()}
+            assert bool(pool) == (workers > 1)  # one worker starts no thread
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+    # every draw, which the benchmark's tracing times, is on the calling thread
+    assert set(drawn) == {threading.main_thread()}
+    assert len(drawn) == 3 * cfg.generations
+    if case == "glevy_floored":  # the floored walk runs in the groups too
+        fractions = np.linspace(0.0, 3.0, 10)
+        factors_0 = factors(spec, cfg.horizon, cfg.dt, cfg.paths_per_eval,
+                            derive_seed(cfg.seed, _PATH_SALT, 0))
+        assert any(s.ruin_events for s in score(fractions, factors_0, cfg.dt))
+
+
+def test_library_evolve_at_one_worker_loads_no_thread_pool():
+    src = Path(agents.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, threading\n"
+             "from stokit import GeometricBrownian, PoolConfig, evolutionary_optimize\n"
+             "cfg = PoolConfig(n_agents=4, generations=2, mutation_sd=0.1, "
+             "survivor_share=0.25, horizon=1.0, dt=0.01, paths_per_eval=3, "
+             "f_min=0.0, f_max=3.0, seed=1)\n"
+             "evolutionary_optimize(cfg, GeometricBrownian(0.05, 0.2))\n"
+             "print('concurrent.futures' in sys.modules, threading.active_count())")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == ["False", "1"]
+
+
+@pytest.mark.parametrize("spec", [GeometricBrownian(0.05, 0.2),
+                                  GeometricLevy(1.5, 0.0, 0.2, 0.02)])
+def test_factors_are_simulated_ratios_in_tiles(spec):
+    # 5000 steps make tiles of 3 rows, so 7 paths end in a 1-row tile.
+    assert processes._tiling(spec, 50.0, 0.01, 7)[2] == 3
+    values = simulate(spec, 50.0, 0.01, 7, 4).values
+    want = values[:, 1:] / values[:, :-1]
+    got = agents._factors(spec, 50.0, 0.01, 7, 4)
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+def test_factors_hold_no_level_matrix():
+    # A 50 x 20000 draw holds its 8 MB of factors and one tile of levels, not
+    # the 8 MB level matrix beside them.
+    tracemalloc.start()
+    try:
+        factors = agents._factors(GeometricBrownian(0.05, 0.2), 200.0, 0.01, 50, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * factors.nbytes

@@ -103,6 +103,25 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_values_past_an_array_exit_2(self, tmp_path, capsys):
+        """Refused before anything is allocated."""
+        code = run(["simulate", "gbm", "--mu", 0.05, "--sigma", 0.2, "--t", 1,
+                    "--dt", 0.5, "--n", 2 ** 62, "--out", tmp_path / "x.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {2 ** 62} instances of 3 timepoints are more values than "
+            "an array can hold\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_without_a_message_reads_out_of_memory(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with mock.patch.object(processes, "simulate", side_effect=MemoryError):
+            code = run(["simulate", "gbm", "--mu", 0.05, "--sigma", 0.2, "--t", 1,
+                        "--dt", 0.5, "--n", 2, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not out.exists()
+
     def test_poisson_slot_block_past_its_bound_exits_2(self, tmp_path, capsys):
         """A round of 1.5e9 slots, refused before anything is allocated."""
         out = tmp_path / "x.csv"
@@ -490,6 +509,44 @@ class TestEvolveCommand:
         assert run(argv + ["--out", b]) == 0
         assert sha256(a) == sha256(b)
 
+    def test_workers_change_no_byte(self, tmp_path, capsys):
+        """CI's floored glevy run, at 1 and 3 scoring threads."""
+        argv = ["evolve", "--family", "glevy", "--alpha", 1.5, "--beta", 0,
+                "--scale", 0.2, "--loc", 0.02, "--agents", 10, "--generations", 3,
+                "--t", 10, "--dt", 0.01, "--paths", 10, "--f-max", 3, "--seed", 7]
+        outputs = []
+        for workers in (1, 3):
+            out = tmp_path / f"evolve_{workers}.csv"
+            assert run(argv + ["--workers", workers, "--out", out]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_workers_default_to_the_usable_cores(self, tmp_path, monkeypatch, affinity):
+        seen = []
+        monkeypatch.setattr("stokit.agents.evolutionary_optimize",
+                            lambda config, spec, workers: seen.append(workers)
+                            or (0.5, []))
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        argv = ["evolve", "--mu", 0.05, "--sigma", 0.2]
+        assert run(argv + ["--out", tmp_path / "x.csv"]) == 0
+        assert run(argv + ["--workers", 2, "--out", tmp_path / "y.csv"]) == 0
+        assert seen == [3 if affinity else 6, 2]
+
+    def test_paths_past_an_array_exit_2(self, tmp_path, capsys):
+        """Refused before anything is allocated."""
+        assert run(["evolve", "--mu", 0.05, "--sigma", 0.2, "--paths", 2 ** 62,
+                    "--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: 40 agents x {2 ** 62} paths are more scores "
+                       "than an array can hold\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_config_exits_2(self, tmp_path):
         code = run(["evolve", "--mu", 0.05, "--sigma", 0.2, "--agents", 1,
                     "--out", tmp_path / "x.csv"])
@@ -743,6 +800,8 @@ def test_a_parse_error_late_in_the_file_comes_before_an_early_diagnostic_error(
     ["diagnose", "--family", "brownian", "--t", 1, "--dt", 0.1, "--n", 2,
      "--growth", "--out-prefix", "{tmp}/x"],
     ["replicate", "--outdir", "{tmp}/figs"],
+    ["evolve", "--mu", 0.05, "--sigma", 0.2, "--agents", 4, "--generations", 2,
+     "--t", 1, "--paths", 2, "--out", "{tmp}/x.csv"],
 ])
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_one_exit_2(tmp_path, capsys, argv, workers):
@@ -828,13 +887,15 @@ ERRORS = [value for value in vars(errors).values()
 
 
 def test_readme_names_every_error_once():
-    assert sorted(readme_exit_codes()) == sorted(e.__name__ for e in [*ERRORS, OSError])
+    assert sorted(readme_exit_codes()) == sorted(
+        e.__name__ for e in [*ERRORS, OSError, MemoryError])
 
 
-@pytest.mark.parametrize("error", [*ERRORS, OSError], ids=lambda error: error.__name__)
+@pytest.mark.parametrize("error", [*ERRORS, OSError, MemoryError],
+                         ids=lambda error: error.__name__)
 def test_each_error_exits_with_its_readme_code(tmp_path, capsys, error):
     code = readme_exit_codes()[error.__name__]
-    if error is not OSError:
+    if error not in (OSError, MemoryError):
         assert error.exit_code == code
     with mock.patch.object(cli, "cmd_simulate", side_effect=error("boom")):
         assert run(["simulate", "gbm", "--mu", 0, "--sigma", 0, "--t", 1, "--dt", 0.1,

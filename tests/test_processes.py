@@ -264,6 +264,35 @@ class TestSimulate:
         with pytest.raises(ValueError):
             ens.values[0, 0] = 99.0
 
+    def test_ensemble_copies_an_array_its_caller_can_write(self):
+        v = np.zeros((2, 3))
+        ens = processes.Ensemble(TimeGrid(0.1, 2), v)
+        assert v.flags.writeable
+        v[0, 0] = 5.0
+        assert ens.values[0, 0] == 0.0 and not ens.values.flags.writeable
+        frozen = np.zeros((2, 3))
+        frozen.setflags(write=False)  # owned and read-only: kept as it is
+        assert processes.Ensemble(TimeGrid(0.1, 2), frozen).values is frozen
+        view = frozen[:, :]  # read-only, but the base's owner may still write it
+        assert processes.Ensemble(TimeGrid(0.1, 2), view).values is not view
+
+    def test_simulate_hands_its_values_over_uncopied(self):
+        tracemalloc.start()
+        try:
+            ens = simulate(Brownian(), 10.0, 0.01, 200, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.values.flags.owndata
+        assert peak < 1.5 * ens.values.nbytes  # a copy would double it
+
+    @pytest.mark.parametrize("n, dt", [(2 ** 62, 0.5), (2 ** 60, 1.0), (2 ** 47, 1e-4)])
+    def test_values_past_an_array_refused(self, n, dt):
+        """n x (steps + 1) float64 values beyond what an array can hold, refused
+        before anything is allocated."""
+        with pytest.raises(SizeError, match="more values than an array can hold"):
+            simulate(GeometricBrownian(0.05, 0.2), 1.0, dt, n, 1)
+
 
 def _reference_row(spec, grid, stream):
     """One instance built from the public per-instance samplers, step by
