@@ -21,9 +21,8 @@ matter: the clamp of non-positive mixes where no mix is non-positive, and
 the partial sums, floor scan and walk of a block in which no column can
 reach the floor, which is summed by one reduce down its steps instead.
 
-`evolutionary_optimize` scores a generation's fractions in groups on threads
-while it draws the next generation's paths, which depend only on (seed,
-generation); as a score does not depend on its batch, no byte depends on that.
+`evolutionary_optimize` scores a generation's fractions in contiguous groups
+on threads; as a score does not depend on its batch, no byte depends on them.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .processes import _MAX_VALUES, ProcessSpec, _map, _tiling
+from .processes import _MAX_VALUES, ProcessSpec, _map, simulate
 from .rng import derive_seed, sample_gaussian, substream
 
 WEALTH_FLOOR = 1e-12
@@ -82,11 +81,12 @@ def growth_from_factors(fraction: float, factors: np.ndarray, dt: float
     return _score(np.array([fraction], dtype=np.float64), factors, dt)[0]
 
 
-def _buffers(n_fractions: int, n_paths: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_score`'s block of log mixes and the block's factors, steps-major."""
-    block = np.empty((min(n_steps, max(1, _BLOCK // (n_fractions * n_paths))),
-                      n_fractions * n_paths))
-    return block, np.empty((len(block), n_paths))
+def _buffers(n_fractions: int, n_paths: int, n_steps: int, n_agents: int = 0
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """`_score`'s block of log mixes and its factors, steps-major, for ``_BLOCK //
+    (n_agents x n_paths)`` steps: the blocks of all groups hold ``_BLOCK`` values."""
+    rows = min(n_steps, max(1, _BLOCK // ((n_agents or n_fractions) * n_paths)))
+    return np.empty((rows, n_fractions * n_paths)), np.empty((rows, n_paths))
 
 
 def _score(fractions: np.ndarray, factors: np.ndarray, dt: float,
@@ -97,7 +97,8 @@ def _score(fractions: np.ndarray, factors: np.ndarray, dt: float,
     by default).
 
     Each block holds the log mix of every (fraction, path) pair for up to
-    ``_BLOCK // (fractions x paths)`` steps, about 1 MB, steps-major: the
+    ``_BLOCK // (fractions x paths)`` steps, about 1 MB (shared with the other
+    groups of a generation scored in groups), steps-major: the
     factors tiled across the fractions, ``*= scale`` and ``+= shift`` in place
     (each still ``fl(fl(f * r) + (1 - f))``), clamped and logged.  It is
     summed down the steps onto the running floored log wealth, by a cumsum
@@ -194,19 +195,12 @@ def _clear_of_floor(wealth: np.ndarray, drop: np.ndarray, deepest: float,
 
 def _factors(spec: ProcessSpec, horizon: float, dt: float, n_paths: int,
              seed: int) -> np.ndarray:
-    """Per-step gross factors of a simulated multiplicative ensemble: `simulate`'s
-    row tiles, each divided into the factor matrix, so no level matrix is held."""
+    """Per-step gross factors of a simulated multiplicative ensemble."""
     if not spec.multiplicative:
         raise DomainError(
             f"{type(spec).__name__} is not a multiplicative process family")
-    grid, kernel, rows = _tiling(spec, horizon, dt, n_paths)
-    factors = np.empty((n_paths, grid.n_steps))
-    levels = np.empty((min(rows, n_paths), grid.n_steps + 1))
-    for start in range(0, n_paths, rows):
-        tile = levels[:n_paths - start]
-        kernel(spec, grid, substream(seed, np.arange(start, start + len(tile))), tile)
-        np.divide(tile[:, 1:], tile[:, :-1], out=factors[start:start + len(tile)])
-    return factors
+    values = simulate(spec, horizon, dt, n_paths, seed).values
+    return values[:, 1:] / values[:, :-1]
 
 
 def evaluate_growth(fraction: float, spec: ProcessSpec, horizon: float,
@@ -280,19 +274,16 @@ def evolutionary_optimize(config: PoolConfig, spec: ProcessSpec, workers: int = 
         init = substream(derive_seed(config.seed, _INIT_SALT), 0)
         fractions = config.f_min + (config.f_max - config.f_min) * init.uniforms(n)
 
-    def draw(generation: int) -> np.ndarray | None:  # None past the last generation
-        return _factors(spec, config.horizon, config.dt, config.paths_per_eval,
-                        derive_seed(config.seed, _PATH_SALT, generation)
-                        ) if generation < config.generations else None
-
-    factors = draw(0)
-    groups = [(cut, _buffers(len(cut), *factors.shape))  # buffers allocated here, once
-              for cut in np.array_split(np.arange(n), min(workers, n))]
+    groups = np.array_split(np.arange(n), min(workers, n))  # contiguous cuts
     history: list[GenerationStat] = []
     for generation in range(config.generations):
-        parts = [(fractions[cut], factors, config.dt, buffers) for cut, buffers in groups]
-        scores, factors = _map(lambda part: _score(*part), parts, workers,
-                               lambda: draw(generation + 1))
+        path_seed = derive_seed(config.seed, _PATH_SALT, generation)
+        factors = _factors(spec, config.horizon, config.dt,
+                           config.paths_per_eval, path_seed)
+        # each group's buffers are allocated on this thread and freed with the list
+        scores = _map(lambda part: _score(*part), [
+            (fractions[cut], factors, config.dt, _buffers(len(cut), *factors.shape, n))
+            for cut in groups], workers)
         fitness = np.array([score.growth for group in scores for score in group])
         order = np.argsort(-fitness, kind="stable")
         history.append(GenerationStat(float(fractions[order[0]]),

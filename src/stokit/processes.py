@@ -234,39 +234,14 @@ def _check_scheme(spec: ProcessSpec, grid: TimeGrid) -> None:
                           f"{_EXPONENT_CLIP:g}")
 
 
-def _map(fn, items, workers: int, meanwhile=lambda: None) -> tuple[list, object]:
-    """``map(fn, items)`` on up to ``workers`` threads, and ``meanwhile()`` on
-    the calling thread as they run; inline, with no thread, at 1 worker or item."""
+def _map(fn, items, workers: int) -> list:
+    """``list(map(fn, items))`` on up to ``workers`` threads; inline, with no
+    thread, at 1 worker or item."""
     if workers == 1 or len(items) == 1:
-        return [fn(item) for item in items], meanwhile()
+        return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor  # spares every start-up
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        results, extra = pool.map(fn, items), meanwhile()  # map submits every item at once
-        return list(results), extra
-
-
-def _tiling(spec: ProcessSpec, horizon: float, dt: float, num_instances: int):
-    """Check `simulate`'s arguments; return its grid, family kernel and tile rows."""
-    if num_instances < 1:
-        raise SizeError(f"num_instances must be >= 1, got {num_instances}")
-    kernel = next((k for types, k in _KERNELS if isinstance(spec, types)), None)
-    if kernel is None:
-        raise DomainError(f"unknown process spec {type(spec).__name__}")
-    for name in (f.name for f in fields(spec)):
-        if not math.isfinite(value := getattr(spec, name)):
-            raise DomainError(f"{name} must be finite, got {value}")
-    grid = TimeGrid.from_horizon(horizon, dt)
-    if num_instances * (grid.n_steps + 1) > _MAX_VALUES:
-        raise SizeError(f"{num_instances} instances of {grid.n_steps + 1} timepoints "
-                        "are more values than an array can hold")
-    _check_scheme(spec, grid)
-    row_draws = grid.n_steps  # the most a row of a tile holds at once
-    if kernel is _poisson:  # a round's slots, refused before anything is allocated
-        row_draws = max(row_draws, _poisson_slot_block(spec.rate, grid.horizon))
-    rows = max(1, _BUDGET // row_draws)
-    if kernel is _mean_reverting:  # its per-step numpy calls want wide tiles
-        rows = max(_WIDE, rows)
-    return grid, kernel, rows
+        return list(pool.map(fn, items))
 
 
 def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
@@ -284,9 +259,27 @@ def simulate(spec: ProcessSpec, horizon: float, dt: float, num_instances: int,
     them when ``workers`` is 1), and with any count the result is
     byte-identical to the single-threaded run.
     """
+    if num_instances < 1:
+        raise SizeError(f"num_instances must be >= 1, got {num_instances}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    grid, kernel, rows = _tiling(spec, horizon, dt, num_instances)
+    kernel = next((k for types, k in _KERNELS if isinstance(spec, types)), None)
+    if kernel is None:
+        raise DomainError(f"unknown process spec {type(spec).__name__}")
+    for name in (f.name for f in fields(spec)):
+        if not math.isfinite(value := getattr(spec, name)):
+            raise DomainError(f"{name} must be finite, got {value}")
+    grid = TimeGrid.from_horizon(horizon, dt)
+    if num_instances * (grid.n_steps + 1) > _MAX_VALUES:
+        raise SizeError(f"{num_instances} instances of {grid.n_steps + 1} timepoints "
+                        "are more values than an array can hold")
+    _check_scheme(spec, grid)
+    row_draws = grid.n_steps  # the most a row of a tile holds at once
+    if kernel is _poisson:  # a round's slots, refused before anything is allocated
+        row_draws = max(row_draws, _poisson_slot_block(spec.rate, grid.horizon))
+    rows = max(1, _BUDGET // row_draws)
+    if kernel is _mean_reverting:  # its per-step numpy calls want wide tiles
+        rows = max(_WIDE, rows)
     values = np.empty((num_instances, grid.n_steps + 1))
 
     def run_block(start: int) -> None:

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from stokit import (Brownian, DomainError, GeometricBrownian, GeometricLevy,
                     PoolConfig, SizeError, evaluate_growth,
                     evolutionary_optimize, growth_from_factors, simulate)
-from stokit import agents, processes
+from stokit import agents
 from stokit.agents import _PATH_SALT, WEALTH_FLOOR, GrowthEval
 from stokit.rng import derive_seed
 
@@ -456,24 +456,24 @@ def test_library_evolve_at_one_worker_loads_no_thread_pool():
     assert done.stdout.split() == ["False", "1"]
 
 
-@pytest.mark.parametrize("spec", [GeometricBrownian(0.05, 0.2),
-                                  GeometricLevy(1.5, 0.0, 0.2, 0.02)])
-def test_factors_are_simulated_ratios_in_tiles(spec):
-    # 5000 steps make tiles of 3 rows, so 7 paths end in a 1-row tile.
-    assert processes._tiling(spec, 50.0, 0.01, 7)[2] == 3
-    values = simulate(spec, 50.0, 0.01, 7, 4).values
-    want = values[:, 1:] / values[:, :-1]
-    got = agents._factors(spec, 50.0, 0.01, 7, 4)
-    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+@pytest.mark.parametrize("workers", [1, 7, 40])
+def test_evolve_groups_share_one_block(monkeypatch, workers):
+    """However many groups score a generation, their blocks hold about
+    `_BLOCK` values together, as the one block of a single group does."""
+    cfg = PoolConfig(n_agents=40, generations=2, mutation_sd=0.1,
+                     survivor_share=0.25, horizon=20.0, dt=0.01,
+                     paths_per_eval=5, f_min=0.0, f_max=3.0, seed=3)
+    buffers = []
+    score = agents._score
 
+    def recording_score(fractions, factors, dt, work):
+        buffers.append((fractions.size, *work))
+        return score(fractions, factors, dt, work)
 
-def test_factors_hold_no_level_matrix():
-    # A 50 x 20000 draw holds its 8 MB of factors and one tile of levels, not
-    # the 8 MB level matrix beside them.
-    tracemalloc.start()
-    try:
-        factors = agents._factors(GeometricBrownian(0.05, 0.2), 200.0, 0.01, 50, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * factors.nbytes
+    monkeypatch.setattr(agents, "_score", recording_score)
+    evolutionary_optimize(cfg, GeometricBrownian(0.05, 0.2), workers=workers)
+    assert len(buffers) == workers * cfg.generations
+    rows = agents._BLOCK // (40 * 5)  # a single group's rows, 655 of 2000 steps
+    for size, block, steps in buffers:
+        assert block.shape == (rows, size * 5) and steps.shape == (rows, 5)
+    assert sum(block.size for _, block, _ in buffers[:workers]) <= agents._BLOCK

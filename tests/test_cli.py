@@ -523,20 +523,22 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("affinity", [True, False])
     def test_workers_default_to_the_usable_cores(self, tmp_path, monkeypatch, affinity):
+        """Up to 2, and 1 where 2 groups would have fewer than 500 columns."""
         seen = []
         monkeypatch.setattr("stokit.agents.evolutionary_optimize",
                             lambda config, spec, workers: seen.append(workers)
                             or (0.5, []))
-        if affinity:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
-                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        if affinity:  # 1 usable core of 6
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
         else:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        argv = ["evolve", "--mu", 0.05, "--sigma", 0.2]
-        assert run(argv + ["--out", tmp_path / "x.csv"]) == 0
-        assert run(argv + ["--workers", 2, "--out", tmp_path / "y.csv"]) == 0
-        assert seen == [3 if affinity else 6, 2]
+        argv = ["evolve", "--mu", 0.05, "--sigma", 0.2, "--out", tmp_path / "x.csv"]
+        assert run(argv) == 0  # 40 x 50 columns
+        assert run(argv + ["--workers", 5]) == 0
+        for paths in (99, 100):
+            assert run(argv + ["--agents", 10, "--paths", paths]) == 0
+        assert seen == [1, 5, 1, 1] if affinity else seen == [2, 5, 1, 2]
 
     def test_paths_past_an_array_exit_2(self, tmp_path, capsys):
         """Refused before anything is allocated."""
